@@ -8,15 +8,18 @@
 #   build        cargo build --release
 #   fmt          cargo fmt --check
 #   clippy       cargo clippy --all-targets -- -D warnings
-#   test         cargo test -q
+#   test         cargo test -q, plus the lt-perf benchmark's own unit
+#                tests (a separate package, so `cargo test` skips them)
 #   determinism  every deterministic results file produced twice
 #                (LT_BENCH_THREADS=1 vs =4, smoke runs repeated) must
 #                match byte-for-byte: fig6/table4/fig4, drift full +
-#                smoke, fleet smoke, serve-load smoke, crash smoke
+#                smoke, fleet smoke, serve-load smoke, crash smoke; and
+#                lt-serve-load --smoke --shards 1 vs --shards 2 (a real
+#                coordinator + shard daemons over loopback) must yield the
+#                same winners. Both serving smokes exit non-zero on a
+#                failed session or a bad /metrics, so they gate too
 #   trace        LT_TRACE=1 fig6 must emit a trace whose per-phase
 #                self-times sum to the run wall time (trace_check)
-#   serve        lt-serve-load --smoke: real sessions through the HTTP
-#                service over loopback, /metrics checked
 #   planner      planner_bench --smoke runs to completion (timing is
 #                informational; enumerator properties gate under test)
 #   drift        drift_bench --smoke acceptance bounds (zero false
@@ -40,12 +43,6 @@
 #                drift monitor, spec feeds over HTTP, and delta-prompt
 #                re-tuning bounded against the blind warm restart;
 #                trace sidecar checked with trace_check
-#   shard        lt-serve-load --smoke --shards 2: a real coordinator +
-#                two shard daemons over loopback, sessions routed via
-#                the consistent-hash ring, fleet /metrics aggregated;
-#                the determinism gate additionally diffs the smoke
-#                result between --shards 1 and --shards 2 (wall-clock
-#                fields excluded) — placement must never change winners
 #
 # Per-gate wall seconds are printed at the end and written to
 # results/ci_timing.txt (the workflow uploads it as an artifact).
@@ -68,6 +65,7 @@ gate_clippy() {
 
 gate_test() {
     cargo test -q
+    cargo test -q --release --manifest-path lt-perf/Cargo.toml
 }
 
 # Files every determinism run must reproduce byte-for-byte. The first
@@ -137,10 +135,6 @@ gate_trace() {
     ./target/release/trace_check results/fig6.trace.json
 }
 
-gate_serve() {
-    ./target/release/lt-serve-load --smoke
-}
-
 gate_planner() {
     ./target/release/planner_bench --smoke
 }
@@ -163,16 +157,12 @@ gate_store() {
     ./target/release/trace_check results/BENCH_store.trace.json
 }
 
-gate_shard() {
-    ./target/release/lt-serve-load --smoke --shards 2
-}
-
 gate_synth() {
     LT_TRACE=1 LT_BENCH_THREADS=1 ./target/release/synth_bench --smoke
     ./target/release/trace_check results/BENCH_synth.trace.json
 }
 
-ALL_GATES="build fmt clippy test determinism trace serve planner drift fleet crash store shard synth"
+ALL_GATES="build fmt clippy test determinism trace planner drift fleet crash store synth"
 TIMING=()
 
 run_gate() {

@@ -390,7 +390,7 @@ fn main() {
     // server's worker threads record spans off the main thread, which
     // would break the trace invariant (per-phase self-times on the main
     // thread summing to the run wall), so the traced run ends here —
-    // serving stays outside the sidecar, exactly like the serve gate.
+    // serving stays outside the sidecar, like the serving smokes.
     drop(_obs);
     println!("== serve leg ({serve_feeds} spec feeds over HTTP) ==");
     let mut serve_rows = Vec::new();

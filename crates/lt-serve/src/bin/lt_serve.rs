@@ -5,7 +5,7 @@
 //! lt-serve [--addr HOST:PORT] [--workers N] [--queue N] [--conns N]
 //!          [--wal-dir DIR] [--shard-id N]
 //! lt-serve --coordinator --shard ID=HOST:PORT [--shard ID=HOST:PORT ...]
-//!          [--addr HOST:PORT]
+//!          [--addr HOST:PORT] [--conns N]
 //! ```
 //!
 //! Server flags override the `LT_SERVE_ADDR` / `LT_SERVE_WORKERS` /
@@ -22,7 +22,9 @@
 //! consistent-hash routing of new sessions, per-session proxying, health
 //! probing and aggregated `/metrics`. Coordinator knobs come from
 //! `LT_SHARD_VNODES`, `LT_SHARD_PROBE_MS`, `LT_SERVE_TENANT_CAP` and
-//! `LT_SERVE_QUEUE` (see `CoordinatorConfig`). Stop either mode with
+//! `LT_SERVE_QUEUE` (see `CoordinatorConfig`). The connection limits —
+//! `--conns`/`LT_SERVE_CONNS`, `LT_SERVE_KEEPALIVE_MAX` and
+//! `LT_SERVE_IDLE_MS` — apply in both modes. Stop either mode with
 //! `POST /shutdown` or Ctrl-C.
 
 use lt_serve::{CoordinatorConfig, ServerConfig, ShardSpec};
@@ -45,11 +47,12 @@ fn parse_shard(spec: &str) -> ShardSpec {
     ShardSpec { id, addr }
 }
 
-fn run_coordinator(addr: Option<String>, shards: Vec<ShardSpec>) {
+fn run_coordinator(addr: Option<String>, shards: Vec<ShardSpec>, server: &ServerConfig) {
     if shards.is_empty() {
         bad_usage("--coordinator needs at least one --shard ID=HOST:PORT");
     }
     let mut config = CoordinatorConfig::new(shards);
+    config.limits = server.limits();
     config.addr = addr.unwrap_or_else(|| {
         std::env::var("LT_SERVE_ADDR").unwrap_or_else(|_| "127.0.0.1:7879".to_string())
     });
@@ -126,7 +129,7 @@ fn main() {
                     "usage: lt-serve [--addr HOST:PORT] [--workers N] [--queue N] [--conns N] \
                      [--wal-dir DIR] [--shard-id N]\n\
                      \x20      lt-serve --coordinator --shard ID=HOST:PORT [--shard ...] \
-                     [--addr HOST:PORT]"
+                     [--addr HOST:PORT] [--conns N]"
                 );
                 return;
             }
@@ -135,7 +138,7 @@ fn main() {
     }
 
     if coordinator {
-        run_coordinator(coordinator_addr, shards);
+        run_coordinator(coordinator_addr, shards, &config);
         return;
     }
     if !shards.is_empty() {

@@ -4,7 +4,7 @@
 //! lt-serve-load                  # full matrix: 16 clients at 1 and 4 workers,
 //!                                # verifies determinism, writes results/serve_load.json
 //! lt-serve-load --smoke          # one quick session against an in-process
-//!                                # server; the CI smoke gate
+//!                                # server; a CI determinism-gate run
 //! lt-serve-load --addr HOST:PORT # single pass against an external server
 //! lt-serve-load --clients N      # override the client count
 //! lt-serve-load --shards N       # sharded bench: spawn coordinator + shard
@@ -13,7 +13,7 @@
 //!                                # kill-one-shard availability scenario,
 //!                                # write results/BENCH_shard.json
 //! lt-serve-load --smoke --shards N  # quick multi-process pass; writes
-//!                                # results/serve_shard.smoke.json (CI gate)
+//!                                # results/serve_shard.smoke.json (CI)
 //! ```
 //!
 //! `LT_SERVE_SHARDS` is the env equivalent of `--shards`. The sharded
@@ -395,6 +395,9 @@ fn shard_bench(max_shards: usize, clients: usize) {
         // default 64 the ±12% share variance shows up directly as
         // drain-time skew.
         ("LT_SHARD_VNODES".to_string(), "256".to_string()),
+        // The coordinator caps its connections like a daemon does; size
+        // the cap to the client count so no client is turned away.
+        ("LT_SERVE_CONNS".to_string(), clients.max(64).to_string()),
     ];
     let series: Vec<usize> = [1usize, 2, 4, 8, 16]
         .into_iter()
@@ -513,6 +516,17 @@ fn shard_bench(max_shards: usize, clients: usize) {
     }
 }
 
+/// A flag's value as a positive integer; exits with usage status otherwise.
+fn positive_arg(value: Option<String>, flag: &str) -> usize {
+    value
+        .and_then(|v| v.parse().ok())
+        .filter(|&v| v > 0)
+        .unwrap_or_else(|| {
+            eprintln!("error: {flag} must be a positive integer");
+            std::process::exit(2);
+        })
+}
+
 fn main() {
     let mut smoke_mode = false;
     let mut external_addr: Option<String> = None;
@@ -526,28 +540,8 @@ fn main() {
         match arg.as_str() {
             "--smoke" => smoke_mode = true,
             "--addr" => external_addr = args.next(),
-            "--clients" => {
-                clients = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&v| v > 0)
-                        .unwrap_or_else(|| {
-                            eprintln!("error: --clients must be a positive integer");
-                            std::process::exit(2);
-                        }),
-                )
-            }
-            "--shards" => {
-                shards = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&v| v > 0)
-                        .unwrap_or_else(|| {
-                            eprintln!("error: --shards must be a positive integer");
-                            std::process::exit(2);
-                        }),
-                )
-            }
+            "--clients" => clients = Some(positive_arg(args.next(), "--clients")),
+            "--shards" => shards = Some(positive_arg(args.next(), "--shards")),
             "--help" | "-h" => {
                 println!(
                     "usage: lt-serve-load [--smoke | --addr HOST:PORT] [--clients N] [--shards N]"

@@ -36,14 +36,16 @@
 //! decides *where* it runs. Same session id + seed ⇒ byte-identical
 //! winner at any shard count or placement.
 
-use crate::http::{read_request, request_with, Connection, Request, Response};
+use crate::http::{self, request_with, Connection, Limits, Request, Response, Role, Shutdown};
 use crate::ring::HashRing;
+use crate::server::{positive_env, ServerConfig};
+use crate::session::SessionState;
 use lt_common::json::Value;
 use lt_common::obs::Snapshot;
 use lt_common::{json, obs};
 use std::collections::{HashMap, HashSet};
-use std::io::{self};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -81,26 +83,23 @@ pub struct CoordinatorConfig {
     /// Fleet-wide cap on total non-terminal sessions (`LT_SERVE_QUEUE` ×
     /// shard count by default): the global backlog bound answering 429.
     pub max_active: usize,
+    /// Client-facing connection limits (`LT_SERVE_CONNS`,
+    /// `LT_SERVE_KEEPALIVE_MAX`, `LT_SERVE_IDLE_MS`), as on a daemon.
+    pub limits: Limits,
 }
 
 impl CoordinatorConfig {
-    /// Defaults for `shards`, with env overrides for the knobs.
+    /// Defaults for `shards`, with env overrides for the knobs. Queue
+    /// depth, tenant cap and limits come from [`ServerConfig::from_env`].
     pub fn new(shards: Vec<ShardSpec>) -> CoordinatorConfig {
-        let usize_env = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&v| v > 0)
-        };
-        let queue = usize_env("LT_SERVE_QUEUE").unwrap_or(64);
+        let server = ServerConfig::from_env();
         CoordinatorConfig {
             addr: "127.0.0.1:0".to_string(),
             vnodes: HashRing::from_env_vnodes(),
-            probe_ms: usize_env("LT_SHARD_PROBE_MS")
-                .map(|v| v as u64)
-                .unwrap_or(DEFAULT_PROBE_MS),
-            tenant_cap: usize_env("LT_SERVE_TENANT_CAP").unwrap_or(64),
-            max_active: queue * shards.len().max(1),
+            probe_ms: positive_env("LT_SHARD_PROBE_MS").map_or(DEFAULT_PROBE_MS, |v| v as u64),
+            tenant_cap: server.tenant_cap,
+            max_active: server.queue_depth * shards.len().max(1),
+            limits: server.limits(),
             shards,
         }
     }
@@ -121,8 +120,9 @@ struct CoordState {
     /// show a terminal state.
     active: Mutex<HashMap<String, HashSet<u64>>>,
     next_id: AtomicU64,
-    shutdown: AtomicBool,
-    addr: SocketAddr,
+    /// Set by [`CoordinatorHandle::shutdown`] and `POST /shutdown`; also
+    /// stops the probe loop.
+    shutdown: Arc<Shutdown>,
     tenant_cap: usize,
     max_active: usize,
     probe_ms: u64,
@@ -191,10 +191,11 @@ impl CoordinatorHandle {
     /// Blocks until someone stops the coordinator (`POST /shutdown`),
     /// then joins the service threads. The daemon's main-thread park.
     pub fn wait(&mut self) {
+        // The accept loop ends only once shutdown was requested, which
+        // also stops the probe loop.
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        self.state.shutdown.store(true, Ordering::SeqCst);
         if let Some(t) = self.probe_thread.take() {
             let _ = t.join();
         }
@@ -202,14 +203,8 @@ impl CoordinatorHandle {
 
     /// Stops accepting and joins the service threads. Idempotent.
     pub fn shutdown(&mut self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.probe_thread.take() {
-            let _ = t.join();
-        }
+        self.state.shutdown.request();
+        self.wait();
     }
 }
 
@@ -231,6 +226,7 @@ pub fn start_coordinator(config: CoordinatorConfig) -> io::Result<CoordinatorHan
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let ids: Vec<u32> = config.shards.iter().map(|s| s.id).collect();
+    let shutdown = Arc::new(Shutdown::new(addr));
     let state = Arc::new(CoordState {
         ring: HashRing::new(&ids, config.vnodes),
         alive: config
@@ -242,8 +238,7 @@ pub fn start_coordinator(config: CoordinatorConfig) -> io::Result<CoordinatorHan
         placements: Mutex::new(HashMap::new()),
         active: Mutex::new(HashMap::new()),
         next_id: AtomicU64::new(1),
-        shutdown: AtomicBool::new(false),
-        addr,
+        shutdown: shutdown.clone(),
         tenant_cap: config.tenant_cap.max(1),
         max_active: config.max_active.max(1),
         probe_ms: config.probe_ms.max(10),
@@ -254,21 +249,14 @@ pub fn start_coordinator(config: CoordinatorConfig) -> io::Result<CoordinatorHan
         .name("lt-coord-probe".to_string())
         .spawn(move || probe_loop(&probe_state))?;
 
-    let accept_state = state.clone();
-    let accept_thread = std::thread::Builder::new()
-        .name("lt-coord-accept".to_string())
-        .spawn(move || {
-            for stream in listener.incoming() {
-                if accept_state.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let conn_state = accept_state.clone();
-                let _ = std::thread::Builder::new()
-                    .name("lt-coord-conn".to_string())
-                    .spawn(move || handle_connection(stream, &conn_state));
-            }
-        })?;
+    let router_state = state.clone();
+    let accept_thread = http::serve(
+        listener,
+        Role::Coordinator,
+        config.limits,
+        shutdown,
+        move |request| route(request, &router_state),
+    )?;
 
     Ok(CoordinatorHandle {
         addr,
@@ -278,51 +266,22 @@ pub fn start_coordinator(config: CoordinatorConfig) -> io::Result<CoordinatorHan
     })
 }
 
-/// Requests served per coordinator connection before close (mirrors the
-/// shard server's keep-alive bound).
-const KEEPALIVE_MAX: usize = 1024;
-
-fn handle_connection(mut stream: TcpStream, state: &CoordState) {
-    // Proxied long-polls can hold a request open for up to the shard-side
-    // wait cap; the idle timeout must exceed it.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(60)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(60)));
-    for served in 0..KEEPALIVE_MAX {
-        let request = match read_request(&mut stream) {
-            Ok(request) => request,
-            Err(err) => {
-                if served == 0 {
-                    let _ = Response::error(400, &format!("malformed request: {err}"))
-                        .write_to(&mut stream);
-                }
-                return;
-            }
-        };
-        let keep = request.wants_keep_alive() && served + 1 < KEEPALIVE_MAX;
-        let response = route(&request, state);
-        if response.write_connection(&mut stream, keep).is_err() || !keep {
-            return;
-        }
-    }
-}
-
 fn route(request: &Request, state: &CoordState) -> Response {
     obs::counter("coord.http_requests", 1);
-    let path = request.path.split('?').next().unwrap_or("");
-    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
+    let (path, segments) = request.route_path();
     let method = request.method.as_str();
     match segments.as_slice() {
         ["sessions"] => match method {
             "POST" => submit_session(request, state),
             "GET" => list_sessions(state),
-            _ => method_not_allowed(method, path, "GET, POST"),
+            _ => Response::method_not_allowed(method, path, "GET, POST"),
         },
         ["sessions", id] | ["sessions", id, "queries"] | ["sessions", id, "config"] => {
             proxy_session_call(request, state, id)
         }
         ["metrics"] => match method {
             "GET" => metrics(state),
-            _ => method_not_allowed(method, path, "GET"),
+            _ => Response::method_not_allowed(method, path, "GET"),
         },
         ["healthz"] => match method {
             "GET" => Response::json(
@@ -334,47 +293,30 @@ fn route(request: &Request, state: &CoordState) -> Response {
                     "shards_total": state.shards.len() as u64,
                 }),
             ),
-            _ => method_not_allowed(method, path, "GET"),
+            _ => Response::method_not_allowed(method, path, "GET"),
         },
         ["shutdown"] => match method {
             "POST" => {
-                state.shutdown.store(true, Ordering::SeqCst);
-                let _ = TcpStream::connect(state.addr);
+                state.shutdown.request();
                 Response::json(200, &json!({ "shutting_down": true }))
             }
-            _ => method_not_allowed(method, path, "POST"),
+            _ => Response::method_not_allowed(method, path, "POST"),
         },
         _ => Response::error(404, &format!("no route for {path}")),
     }
 }
 
-fn method_not_allowed(method: &str, path: &str, allow: &'static str) -> Response {
-    Response::error(
-        405,
-        &format!("method {method} not allowed for {path} (allow: {allow})"),
-    )
-    .with_header("Allow", allow)
-}
-
 /// `POST /sessions` at the coordinator: global admission, id allocation,
 /// ring placement, then adoption on the owning shard.
 fn submit_session(request: &Request, state: &CoordState) -> Response {
-    if state.shutdown.load(Ordering::SeqCst) {
+    if state.shutdown.is_requested() {
         return Response::error(503, "coordinator is shutting down");
     }
-    let Some(body) = request.body_str() else {
-        return Response::error(400, "body is not UTF-8");
-    };
-    let doc = match lt_common::json::parse(if body.trim().is_empty() { "{}" } else { body }) {
+    let doc = match request.json_body() {
         Ok(doc) => doc,
-        Err(err) => return Response::error(400, &format!("invalid JSON: {err}")),
+        Err(response) => return response,
     };
-    let tenant = request
-        .header("x-tenant")
-        .map(str::trim)
-        .filter(|t| !t.is_empty())
-        .unwrap_or("default")
-        .to_string();
+    let tenant = request.tenant();
 
     // Global admission, under one ledger lock so racing submissions
     // cannot both slip under a quota.
@@ -467,16 +409,19 @@ fn proxy_session_call(request: &Request, state: &CoordState, id: &str) -> Respon
     let Some(index) = lock(&state.placements).get(&session_id).copied() else {
         return Response::error(404, &format!("no session {session_id}"));
     };
-    if !state.is_alive(index) {
-        obs::counter("coord.unavailable_sessions", 1);
-        return Response::error(
+    let shard_down = || {
+        Response::error(
             503,
             &format!(
                 "shard {} owning session {session_id} is down; recovery pending",
                 state.shards[index].id
             ),
         )
-        .with_header("Retry-After", state.retry_after());
+        .with_header("Retry-After", state.retry_after())
+    };
+    if !state.is_alive(index) {
+        obs::counter("coord.unavailable_sessions", 1);
+        return shard_down();
     }
     let body = request.body_str().map(str::to_string);
     let mut conn = Connection::new(state.shards[index].addr);
@@ -484,27 +429,14 @@ fn proxy_session_call(request: &Request, state: &CoordState, id: &str) -> Respon
         Ok((status, _, resp_body)) => {
             // Keep the admission ledger fresh: a proxied answer that shows
             // a terminal state retires the session from the quotas.
-            if status == 200 {
-                if let Ok(doc) = lt_common::json::parse(&resp_body) {
-                    if let Some(s) = doc.get("state").and_then(Value::as_str) {
-                        if matches!(s, "done" | "failed" | "cancelled") {
-                            state.observe_terminal(session_id);
-                        }
-                    }
-                }
+            if status == 200 && lt_common::json::parse(&resp_body).is_ok_and(|d| is_terminal(&d)) {
+                state.observe_terminal(session_id);
             }
             passthrough(status, resp_body)
         }
         Err(err) if err.is_refused() => {
             state.mark_dead(index);
-            Response::error(
-                503,
-                &format!(
-                    "shard {} owning session {session_id} is down; recovery pending",
-                    state.shards[index].id
-                ),
-            )
-            .with_header("Retry-After", state.retry_after())
+            shard_down()
         }
         Err(err) => {
             obs::counter("coord.proxy_errors", 1);
@@ -522,27 +454,43 @@ fn passthrough(status: u16, body: String) -> Response {
     }
 }
 
-/// `GET /sessions`: the union of every live shard's session list,
-/// id-ascending; dead shards' sessions are listed from the placement map
-/// with state `"unavailable"`.
-fn list_sessions(state: &CoordState) -> Response {
-    let mut rows: Vec<(u64, Value)> = Vec::new();
+/// True when a session document (status or listing row) shows a terminal
+/// state.
+fn is_terminal(doc: &Value) -> bool {
+    doc.get("state")
+        .and_then(Value::as_str)
+        .and_then(SessionState::parse)
+        .is_some_and(SessionState::is_terminal)
+}
+
+/// Every live shard's `GET /sessions` rows as `(id, row)`. A shard that
+/// does not answer contributes nothing.
+fn live_session_rows(state: &CoordState) -> Vec<(u64, Value)> {
+    let mut rows = Vec::new();
     for (index, shard) in state.shards.iter().enumerate() {
         if !state.is_alive(index) {
             continue;
         }
-        if let Ok((200, body)) = crate::http::request(shard.addr, "GET", "/sessions", None) {
-            if let Ok(doc) = lt_common::json::parse(&body) {
-                if let Some(sessions) = doc.get("sessions").and_then(Value::as_array) {
-                    for s in sessions {
-                        if let Some(id) = s.get("id").and_then(Value::as_i64) {
-                            rows.push((id as u64, s.clone()));
-                        }
-                    }
-                }
+        let Ok((200, body)) = http::request(shard.addr, "GET", "/sessions", None) else {
+            continue;
+        };
+        let Ok(doc) = lt_common::json::parse(&body) else {
+            continue;
+        };
+        for row in doc.get("sessions").and_then(Value::as_array).unwrap_or(&[]) {
+            if let Some(id) = row.get("id").and_then(Value::as_i64) {
+                rows.push((id as u64, row.clone()));
             }
         }
     }
+    rows
+}
+
+/// `GET /sessions`: the union of every live shard's session list,
+/// id-ascending; dead shards' sessions are listed from the placement map
+/// with state `"unavailable"`.
+fn list_sessions(state: &CoordState) -> Response {
+    let mut rows = live_session_rows(state);
     let placements = lock(&state.placements);
     for (&id, &index) in placements.iter() {
         if !state.is_alive(index) {
@@ -568,7 +516,7 @@ fn metrics(state: &CoordState) -> Response {
             ("alive".to_string(), Value::Bool(alive)),
         ];
         if alive {
-            if let Ok((200, body)) = crate::http::request(shard.addr, "GET", "/metrics", None) {
+            if let Ok((200, body)) = http::request(shard.addr, "GET", "/metrics", None) {
                 if let Ok(doc) = lt_common::json::parse(&body) {
                     merged_inputs.push(doc.clone());
                     entry.push(("metrics".to_string(), doc));
@@ -594,7 +542,7 @@ fn metrics(state: &CoordState) -> Response {
 /// The probe loop: marks shards dead/alive from `/shard/healthz` and
 /// reconciles the admission ledger against live shards' session lists.
 fn probe_loop(state: &CoordState) {
-    while !state.shutdown.load(Ordering::SeqCst) {
+    while !state.shutdown.is_requested() {
         for (index, shard) in state.shards.iter().enumerate() {
             let healthy = matches!(
                 request_with(shard.addr, "GET", "/shard/healthz", &[], None),
@@ -611,7 +559,7 @@ fn probe_loop(state: &CoordState) {
         reconcile_active(state);
         // Sleep in small steps so shutdown is prompt even with slow probes.
         let mut remaining = state.probe_ms;
-        while remaining > 0 && !state.shutdown.load(Ordering::SeqCst) {
+        while remaining > 0 && !state.shutdown.is_requested() {
             let step = remaining.min(50);
             std::thread::sleep(Duration::from_millis(step));
             remaining -= step;
@@ -624,30 +572,11 @@ fn probe_loop(state: &CoordState) {
 /// client ever polling them. Ids on dead shards stay counted — their
 /// sessions still exist and will resume on recovery.
 fn reconcile_active(state: &CoordState) {
-    let mut terminal: HashSet<u64> = HashSet::new();
-    for (index, shard) in state.shards.iter().enumerate() {
-        if !state.is_alive(index) {
-            continue;
-        }
-        let Ok((200, body)) = crate::http::request(shard.addr, "GET", "/sessions", None) else {
-            continue;
-        };
-        let Ok(doc) = lt_common::json::parse(&body) else {
-            continue;
-        };
-        let Some(sessions) = doc.get("sessions").and_then(Value::as_array) else {
-            continue;
-        };
-        for s in sessions {
-            let id = s.get("id").and_then(Value::as_i64);
-            let st = s.get("state").and_then(Value::as_str);
-            if let (Some(id), Some(st)) = (id, st) {
-                if matches!(st, "done" | "failed" | "cancelled") {
-                    terminal.insert(id as u64);
-                }
-            }
-        }
-    }
+    let terminal: HashSet<u64> = live_session_rows(state)
+        .into_iter()
+        .filter(|(_, row)| is_terminal(row))
+        .map(|(id, _)| id)
+        .collect();
     if terminal.is_empty() {
         return;
     }

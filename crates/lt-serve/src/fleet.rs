@@ -1,6 +1,6 @@
 //! Multi-process shard fabric: spawns N `lt-serve` shard daemons plus one
-//! coordinator fronting them, for the sharded serving benchmark and the
-//! CI shard gate.
+//! coordinator fronting them, for the sharded serving benchmark and its
+//! CI smoke.
 //!
 //! Everything here is real processes over real loopback TCP — the same
 //! binary an operator would run, found next to the current executable.

@@ -7,16 +7,26 @@
 //! encoding — the serving protocol is small JSON documents delimited by
 //! `Content-Length` in both directions. Head and body sizes are bounded so
 //! a misbehaving peer cannot balloon memory.
+//!
+//! [`serve`] is the one server-side front end: the daemon and the
+//! coordinator each hand it a router and the same three [`Limits`].
 
 use lt_common::json::Value;
+use lt_common::obs;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Upper bound on the request line + headers.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Upper bound on a request body.
 const MAX_BODY_BYTES: usize = 1024 * 1024;
+/// Socket timeout of the blocking clients; long-polls are capped
+/// server-side at 30 s.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -47,6 +57,33 @@ impl Request {
         std::str::from_utf8(&self.body).ok()
     }
 
+    /// The body as a JSON document, an empty body reading as `{}`. `Err`
+    /// is the 400 to answer.
+    pub fn json_body(&self) -> Result<Value, Response> {
+        let Some(body) = self.body_str() else {
+            return Err(Response::error(400, "body is not UTF-8"));
+        };
+        lt_common::json::parse(if body.trim().is_empty() { "{}" } else { body })
+            .map_err(|err| Response::error(400, &format!("invalid JSON: {err}")))
+    }
+
+    /// The tenant named by the `X-Tenant` header, `"default"` when it is
+    /// absent or blank. Tenancy is declared, not authenticated — this
+    /// models quota accounting, not security.
+    pub fn tenant(&self) -> String {
+        self.header("x-tenant")
+            .map(str::trim)
+            .filter(|t| !t.is_empty())
+            .unwrap_or("default")
+            .to_string()
+    }
+
+    /// The path without its query string, and its non-empty segments.
+    pub fn route_path(&self) -> (&str, Vec<&str>) {
+        let path = self.path.split('?').next().unwrap_or("");
+        (path, path.split('/').filter(|s| !s.is_empty()).collect())
+    }
+
     /// True when the client explicitly asked to reuse the connection.
     /// HTTP/1.1 defaults to persistent connections, but this service keeps
     /// the historical close-by-default contract — existing clients send no
@@ -57,34 +94,89 @@ impl Request {
     }
 }
 
-/// Reads one request from `stream`. `Err` means the peer sent something
-/// that is not HTTP (or exceeded the size bounds); the connection should
-/// be answered with 400 and closed.
-pub fn read_request(stream: &mut impl Read) -> io::Result<Request> {
-    let malformed = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
+fn malformed(what: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what.into())
+}
 
-    // Accumulate until the blank line that ends the head.
+/// Reads one message head — start line plus headers — up to the blank line
+/// that ends it, a byte at a time so nothing past it is consumed. Bounded
+/// by [`MAX_HEAD_BYTES`]; bare-LF line ends are tolerated (curl never sends
+/// them, netcat may). `what` ("request"/"response") names the side in
+/// errors. Returns the start line and the headers, names lower-cased; a
+/// header line without `:` is an error.
+fn read_head(stream: &mut impl Read, what: &str) -> io::Result<(String, Vec<(String, String)>)> {
     let mut head = Vec::new();
     let mut byte = [0u8; 1];
     let head_end = loop {
         if head.len() >= MAX_HEAD_BYTES {
-            return Err(malformed("request head too large"));
+            return Err(malformed(format!("{what} head too large")));
         }
         match stream.read(&mut byte)? {
-            0 => return Err(malformed("connection closed mid-head")),
+            // `UnexpectedEof`, not `InvalidData`: the client's reconnect
+            // logic tells a dead keep-alive socket from a protocol error.
+            0 => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "connection closed mid-head",
+                ))
+            }
             _ => head.push(byte[0]),
         }
         if head.ends_with(b"\r\n\r\n") {
             break head.len() - 4;
         }
         if head.ends_with(b"\n\n") {
-            break head.len() - 2; // tolerate bare-LF clients (curl never, netcat maybe)
+            break head.len() - 2;
         }
     };
-    let head_text = std::str::from_utf8(&head[..head_end])
-        .map_err(|_| malformed("request head is not UTF-8"))?;
-    let mut lines = head_text.lines();
-    let request_line = lines.next().ok_or_else(|| malformed("empty request"))?;
+    let text = std::str::from_utf8(&head[..head_end])
+        .map_err(|_| malformed(format!("{what} head is not UTF-8")))?;
+    let mut lines = text.lines();
+    let start = lines
+        .next()
+        .ok_or_else(|| malformed(format!("empty {what}")))?
+        .to_string();
+    let headers = lines
+        .map(|line| {
+            let (name, value) = line
+                .split_once(':')
+                .ok_or_else(|| malformed("malformed header line"))?;
+            Ok((name.trim().to_ascii_lowercase(), value.trim().to_string()))
+        })
+        .collect::<io::Result<_>>()?;
+    Ok((start, headers))
+}
+
+/// Reads the `Content-Length` body that follows a head, refusing more
+/// than `max` bytes.
+fn read_body(
+    stream: &mut impl Read,
+    headers: &[(String, String)],
+    max: usize,
+    what: &str,
+) -> io::Result<Vec<u8>> {
+    let content_length = headers
+        .iter()
+        .find(|(n, _)| n == "content-length")
+        .map(|(_, v)| {
+            v.parse::<usize>()
+                .map_err(|_| malformed("bad Content-Length"))
+        })
+        .transpose()?
+        .unwrap_or(0);
+    if content_length > max {
+        return Err(malformed(format!("{what} body too large")));
+    }
+    let mut body = vec![0u8; content_length];
+    stream.read_exact(&mut body)?;
+    Ok(body)
+}
+
+/// Reads one request from `stream`. `Err` means the peer sent something
+/// that is not HTTP (or exceeded the size bounds); the connection should
+/// be answered with 400 and closed.
+pub fn read_request(stream: &mut impl Read) -> io::Result<Request> {
+    let (request_line, headers) = read_head(stream, "request")?;
     let mut parts = request_line.split_whitespace();
     let method = parts
         .next()
@@ -98,28 +190,7 @@ pub fn read_request(stream: &mut impl Read) -> io::Result<Request> {
         Some(v) if v.starts_with("HTTP/1") => {}
         _ => return Err(malformed("missing or unsupported HTTP version")),
     }
-    let mut headers = Vec::new();
-    for line in lines {
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| malformed("malformed header line"))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-
-    let content_length = headers
-        .iter()
-        .find(|(n, _)| n == "content-length")
-        .map(|(_, v)| {
-            v.parse::<usize>()
-                .map_err(|_| malformed("bad Content-Length"))
-        })
-        .transpose()?
-        .unwrap_or(0);
-    if content_length > MAX_BODY_BYTES {
-        return Err(malformed("request body too large"));
-    }
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body)?;
+    let body = read_body(stream, &headers, MAX_BODY_BYTES, "request")?;
     Ok(Request {
         method,
         path,
@@ -168,6 +239,16 @@ impl Response {
         )
     }
 
+    /// 405 for a known path whose method set does not include `method`,
+    /// naming the allowed set in the body and the `Allow` header.
+    pub fn method_not_allowed(method: &str, path: &str, allow: &'static str) -> Response {
+        Response::error(
+            405,
+            &format!("method {method} not allowed for {path} (allow: {allow})"),
+        )
+        .with_header("Allow", allow)
+    }
+
     /// Serializes status line, headers and body to `stream`, closing the
     /// connection afterwards (the historical one-request contract).
     pub fn write_to(&self, stream: &mut impl Write) -> io::Result<()> {
@@ -209,6 +290,183 @@ pub fn status_text(status: u16) -> &'static str {
     }
 }
 
+/// Connection limits of a server front end; the daemon and the coordinator
+/// read them from the same settings ([`crate::ServerConfig::limits`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Limits {
+    /// Concurrent connections; a connection above it is answered 503
+    /// without spawning a thread.
+    pub max_connections: usize,
+    /// Requests served per connection before it is closed, even for
+    /// clients asking `Connection: keep-alive`.
+    pub keepalive_max: usize,
+    /// How long a connection may sit between requests (and one request may
+    /// take to arrive), in milliseconds. It never cuts a request being
+    /// routed, so long-polls are bounded by their own cap, not by this.
+    pub idle_timeout_ms: u64,
+}
+
+/// Whose front end [`serve`] runs; it names the threads and the counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// A tuning daemon or shard: `lt-serve-*` threads, `serve.*` counters.
+    Daemon,
+    /// The coordinator: `lt-coord-*` threads, `coord.*` counters.
+    Coordinator,
+}
+
+/// The stop switch of an accept loop, shared with the owning handle and
+/// the `POST /shutdown` route.
+#[derive(Debug)]
+pub struct Shutdown {
+    requested: AtomicBool,
+    addr: SocketAddr,
+}
+
+impl Shutdown {
+    /// A switch for the listener bound at `addr`.
+    pub fn new(addr: SocketAddr) -> Shutdown {
+        Shutdown {
+            requested: AtomicBool::new(false),
+            addr,
+        }
+    }
+
+    /// True once [`Shutdown::request`] ran.
+    pub fn is_requested(&self) -> bool {
+        self.requested.load(Ordering::SeqCst)
+    }
+
+    /// Sets the flag and pokes the listener: the accept loop re-checks the
+    /// flag only when `accept()` returns, so without the throwaway
+    /// connection it would wait for the next unrelated client.
+    pub fn request(&self) {
+        self.requested.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr);
+    }
+}
+
+/// Decrements the live-connection count when a connection thread exits,
+/// however it exits.
+struct LiveGuard(Arc<AtomicUsize>);
+
+impl Drop for LiveGuard {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// The server front end: runs the accept loop on its own thread until
+/// `shutdown` is requested, one thread per admitted connection, and hands
+/// every request to `router`.
+///
+/// - **Connection cap.** Each connection holds a thread for up to the idle
+///   timeout, so above `limits.max_connections` the accept loop itself
+///   answers 503 and spawns nothing.
+/// - **Keep-alive.** Close-by-default with opt-in reuse, up to
+///   `limits.keepalive_max` requests per connection, the read timeout
+///   doubling as the idle timeout. A malformed first request is answered
+///   400; after that, a read error is just the client being done.
+pub fn serve<R>(
+    listener: TcpListener,
+    role: Role,
+    limits: Limits,
+    shutdown: Arc<Shutdown>,
+    router: R,
+) -> io::Result<JoinHandle<()>>
+where
+    R: Fn(&Request) -> Response + Send + Sync + 'static,
+{
+    let limits = Limits {
+        max_connections: limits.max_connections.max(1),
+        keepalive_max: limits.keepalive_max.max(1),
+        idle_timeout_ms: limits.idle_timeout_ms.max(1),
+    };
+    let (thread, rejected, reused) = match role {
+        Role::Daemon => (
+            "lt-serve",
+            "serve.connections_rejected",
+            "serve.keepalive_reuse",
+        ),
+        Role::Coordinator => (
+            "lt-coord",
+            "coord.connections_rejected",
+            "coord.keepalive_reuse",
+        ),
+    };
+    let router = Arc::new(router);
+    let live = Arc::new(AtomicUsize::new(0));
+    std::thread::Builder::new()
+        .name(format!("{thread}-accept"))
+        .spawn(move || {
+            for stream in listener.incoming() {
+                if shutdown.is_requested() {
+                    break;
+                }
+                let Ok(mut stream) = stream else { continue };
+                if live.fetch_add(1, Ordering::SeqCst) >= limits.max_connections {
+                    live.fetch_sub(1, Ordering::SeqCst);
+                    obs::counter(rejected, 1);
+                    // Drain whatever the client already sent (non-blocking,
+                    // best effort): closing a socket with unread bytes
+                    // resets the connection and would eat the 503.
+                    let _ = stream.set_nonblocking(true);
+                    let mut scratch = [0u8; 4096];
+                    while matches!(stream.read(&mut scratch), Ok(n) if n > 0) {}
+                    let _ = stream.set_nonblocking(false);
+                    // Tiny fixed body: fits the socket buffer, so this
+                    // cannot stall the accept loop for long.
+                    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
+                    let _ = Response::error(503, "too many connections, retry later")
+                        .write_to(&mut stream);
+                    continue;
+                }
+                // On spawn failure the unstarted closure is dropped and the
+                // moved guard decrements the count right there.
+                let guard = LiveGuard(live.clone());
+                let router = router.clone();
+                let _ = std::thread::Builder::new()
+                    .name(format!("{thread}-conn"))
+                    .spawn(move || {
+                        let _guard = guard;
+                        serve_connection(stream, limits, reused, &*router);
+                    });
+            }
+        })
+}
+
+/// The keep-alive request loop of one admitted connection; `reused`
+/// counts every request after the first.
+fn serve_connection(
+    mut stream: TcpStream,
+    limits: Limits,
+    reused: &'static str,
+    router: &impl Fn(&Request) -> Response,
+) {
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(limits.idle_timeout_ms)));
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
+    for served in 0..limits.keepalive_max {
+        let request = match read_request(&mut stream) {
+            Ok(request) => request,
+            Err(err) => {
+                if served == 0 {
+                    let _ = Response::error(400, &format!("malformed request: {err}"))
+                        .write_to(&mut stream);
+                }
+                return;
+            }
+        };
+        if served > 0 {
+            obs::counter(reused, 1);
+        }
+        let keep = request.wants_keep_alive() && served + 1 < limits.keepalive_max;
+        let response = router(&request);
+        if response.write_connection(&mut stream, keep).is_err() || !keep {
+            return;
+        }
+    }
+}
+
 /// Blocking HTTP client for the load generator, tests and examples: opens
 /// a fresh connection, sends one request, returns `(status, body)`.
 pub fn request(
@@ -235,84 +493,57 @@ pub fn request_with(
     headers: &[(&str, &str)],
     body: Option<&str>,
 ) -> io::Result<RawResponse> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(60)))?;
+    let mut stream = connect(addr)?;
+    write_request(&mut stream, addr, method, path, headers, body, false)?;
+    read_response(&mut stream)
+}
+
+/// Opens a client connection with the client timeouts.
+fn connect(addr: SocketAddr) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT))?;
+    stream.set_write_timeout(Some(CLIENT_TIMEOUT))?;
+    Ok(stream)
+}
+
+/// Writes one client request; `keep_alive` picks the `Connection` header.
+fn write_request(
+    stream: &mut impl Write,
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    headers: &[(&str, &str)],
+    body: Option<&str>,
+    keep_alive: bool,
+) -> io::Result<()> {
     let body = body.unwrap_or("");
     write!(
         stream,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n",
-        body.len()
+        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: {}\r\n",
+        body.len(),
+        if keep_alive { "keep-alive" } else { "close" },
     )?;
     for (name, value) in headers {
         write!(stream, "{name}: {value}\r\n")?;
     }
     write!(stream, "\r\n{body}")?;
-    stream.flush()?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
-    parse_response(&raw)
+    stream.flush()
 }
 
-/// Upper bound on a response body the persistent client will accept.
+/// Upper bound on a response body the clients will accept.
 const MAX_RESPONSE_BYTES: usize = 8 * 1024 * 1024;
 
 /// Reads one `Content-Length`-delimited response — the framing that makes
 /// connection reuse possible (an EOF-delimited read would wait out the
 /// server's idle timeout on every call).
 fn read_response(stream: &mut impl Read) -> io::Result<RawResponse> {
-    let malformed = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
-    let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    loop {
-        if head.len() >= MAX_HEAD_BYTES {
-            return Err(malformed("response head too large"));
-        }
-        match stream.read(&mut byte)? {
-            0 => {
-                // EOF here means the peer closed between our request and
-                // its response — a stale keep-alive or a dying server.
-                // `UnexpectedEof` (not `InvalidData`) so the reconnect
-                // logic can tell a dead socket from a protocol violation.
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-response",
-                ));
-            }
-            _ => head.push(byte[0]),
-        }
-        if head.ends_with(b"\r\n\r\n") {
-            break;
-        }
-    }
-    let head_text = std::str::from_utf8(&head[..head.len() - 4])
-        .map_err(|_| malformed("response head is not UTF-8"))?;
-    let mut lines = head_text.lines();
-    let status = lines
-        .next()
-        .and_then(|l| l.split_whitespace().nth(1))
+    let (status_line, headers) = read_head(stream, "response")?;
+    let status = status_line
+        .split_whitespace()
+        .nth(1)
         .and_then(|s| s.parse::<u16>().ok())
         .ok_or_else(|| malformed("bad status line"))?;
-    let headers: Vec<(String, String)> = lines
-        .filter_map(|line| {
-            let (name, value) = line.split_once(':')?;
-            Some((name.trim().to_ascii_lowercase(), value.trim().to_string()))
-        })
-        .collect();
-    let content_length = headers
-        .iter()
-        .find(|(n, _)| n == "content-length")
-        .map(|(_, v)| {
-            v.parse::<usize>()
-                .map_err(|_| malformed("bad Content-Length"))
-        })
-        .transpose()?
-        .unwrap_or(0);
-    if content_length > MAX_RESPONSE_BYTES {
-        return Err(malformed("response body too large"));
-    }
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body)?;
+    let body = read_body(stream, &headers, MAX_RESPONSE_BYTES, "response")?;
     let body = String::from_utf8(body).map_err(|_| malformed("response body is not UTF-8"))?;
     Ok((status, headers, body))
 }
@@ -389,10 +620,7 @@ impl Connection {
 
     fn stream(&mut self) -> io::Result<&mut TcpStream> {
         if self.stream.is_none() {
-            let stream = TcpStream::connect(self.addr)?;
-            stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-            stream.set_write_timeout(Some(Duration::from_secs(60)))?;
-            self.stream = Some(stream);
+            self.stream = Some(connect(self.addr)?);
         }
         Ok(self.stream.as_mut().expect("stream just connected"))
     }
@@ -459,17 +687,7 @@ impl Connection {
         let addr = self.addr;
         let result = (|| {
             let stream = self.stream()?;
-            let body = body.unwrap_or("");
-            write!(
-                stream,
-                "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: keep-alive\r\n",
-                body.len()
-            )?;
-            for (name, value) in headers {
-                write!(stream, "{name}: {value}\r\n")?;
-            }
-            write!(stream, "\r\n{body}")?;
-            stream.flush()?;
+            write_request(stream, addr, method, path, headers, body, true)?;
             read_response(stream)
         })();
         match result {
@@ -491,27 +709,6 @@ impl Connection {
             }
         }
     }
-}
-
-/// Splits a raw HTTP response into status code, headers and body.
-fn parse_response(raw: &str) -> io::Result<RawResponse> {
-    let malformed = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
-    let (head, body) = raw
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| malformed("no header/body separator in response"))?;
-    let mut lines = head.lines();
-    let status = lines
-        .next()
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| malformed("bad status line"))?;
-    let headers = lines
-        .filter_map(|line| {
-            let (name, value) = line.split_once(':')?;
-            Some((name.trim().to_ascii_lowercase(), value.trim().to_string()))
-        })
-        .collect();
-    Ok((status, headers, body.to_string()))
 }
 
 #[cfg(test)]
@@ -569,7 +766,7 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         let body = text.split("\r\n\r\n").nth(1).unwrap();
         assert!(text.contains(&format!("Content-Length: {}", body.len())));
-        let (status, headers, parsed_body) = parse_response(&text).unwrap();
+        let (status, headers, parsed_body) = read_response(&mut text.as_bytes()).unwrap();
         assert_eq!(status, 200);
         assert_eq!(parsed_body, body);
         assert!(headers
@@ -585,7 +782,7 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         let head = text.split("\r\n\r\n").next().unwrap();
         assert!(head.contains("\r\nAllow: GET, POST"), "{text}");
-        let (status, headers, _) = parse_response(&text).unwrap();
+        let (status, headers, _) = read_response(&mut text.as_bytes()).unwrap();
         assert_eq!(status, 405);
         assert!(headers
             .iter()
@@ -610,7 +807,7 @@ mod tests {
         let mut out = Vec::new();
         resp.write_connection(&mut out, true).unwrap();
         let text = String::from_utf8(out).unwrap();
-        let (_, headers, _) = parse_response(&text).unwrap();
+        let (_, headers, _) = read_response(&mut text.as_bytes()).unwrap();
         assert!(headers
             .iter()
             .any(|(n, v)| n == "connection" && v == "keep-alive"));
@@ -635,6 +832,11 @@ mod tests {
         assert_eq!(status, 404);
         assert!(body.contains("second"));
         assert!(read_response(&mut stream).is_err(), "stream exhausted");
+        // Responses share the request side's head rules.
+        assert!(read_response(&mut &b"HTTP/1.1 200 OK\r\nbogus\r\n\r\n"[..]).is_err());
+        let bare_lf = b"HTTP/1.1 202 Accepted\nContent-Length: 2\n\nhi";
+        let (status, _, body) = read_response(&mut &bare_lf[..]).unwrap();
+        assert_eq!((status, body.as_str()), (202, "hi"));
     }
 
     #[test]

@@ -3,21 +3,23 @@
 //! The research pipeline in [`lambda_tune`] tunes one database per process
 //! invocation. This crate wraps it in a long-lived HTTP service:
 //!
-//! - [`http`] — a minimal, bounded HTTP/1.1 subset (one request per
-//!   connection, `Content-Length` bodies, JSON in and out);
+//! - [`http`] — a minimal, bounded HTTP/1.1 subset (close by default,
+//!   opt-in keep-alive, `Content-Length` bodies, JSON in and out) and the
+//!   one server front end — accept loop, connection cap, keep-alive loop —
+//!   that the daemon and the coordinator share;
 //! - [`session`] — request parsing/validation, the per-session state
 //!   machine (`Queued → Tuning → Done/Failed/Cancelled`) and the registry;
 //! - [`pool`] — a fixed-size worker pool behind a bounded, tenant-fair
 //!   (deficit-round-robin) queue; admission control (429), graceful drain
 //!   on shutdown, and a `catch_unwind` backstop so one poisoned request
 //!   cannot take down a worker thread;
-//! - [`server`] — the accept loop and routing;
+//! - [`server`] — the daemon's routes and admission control;
 //! - [`load`] — the load generator behind the `lt-serve-load` binary;
 //! - [`ring`] — the consistent-hash ring placing sessions on shards;
 //! - [`coord`] — the coordinator: global admission, session routing over
 //!   the ring, health probing, and fleet-wide `/metrics` aggregation;
 //! - [`fleet`] — multi-process fabric spawning (N shard daemons + one
-//!   coordinator) for the sharded benchmark and the CI shard gate.
+//!   coordinator) for the sharded benchmark and its CI smoke.
 //!
 //! Determinism contract: each session owns its own simulated database,
 //! seeded from the request. With the session seed fixed, the resulting best

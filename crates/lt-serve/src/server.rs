@@ -28,11 +28,12 @@
 //! off for planned removal from the ring, and `/shard/healthz` is the
 //! health-probe target that also reports queue pressure.
 //!
-//! Each connection carries one request (`Connection: close`); connection
-//! threads only parse, route and serialize — all tuning happens on the
-//! worker pool.
+//! Connections go through the shared front end ([`crate::http::serve`]):
+//! one request per connection unless the client asks for keep-alive.
+//! Connection threads only parse, route and serialize — all tuning happens
+//! on the worker pool.
 
-use crate::http::{read_request, Request, Response};
+use crate::http::{self, Limits, Request, Response, Role, Shutdown};
 use crate::pool::{SubmitError, WorkerPool};
 use crate::session::{Session, SessionHandle, SessionRegistry, SessionState, TuneRequest};
 use crate::wal::SessionRecord;
@@ -40,15 +41,16 @@ use lt_common::json::Value;
 use lt_common::{json, obs};
 use lt_synth::{Synthesizer, WorkloadSpec};
 use lt_workloads::Workload;
-use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Server configuration. Every field has an environment override so the
-/// `lt-serve` binary and the CI smoke gate share one code path.
+/// `lt-serve` binary and the CI smoke runs share one code path. The
+/// coordinator reads its queue depth, tenant cap and connection limits
+/// from the same parse ([`crate::CoordinatorConfig::new`]).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (tests, load generator).
@@ -61,7 +63,8 @@ pub struct ServerConfig {
     /// Concurrent connection-thread bound; connections above it answer 503
     /// without spawning a thread (`LT_SERVE_CONNS`, default 64). This caps
     /// HTTP-layer threads the way `queue_depth` caps tuning jobs — a burst
-    /// of idle connections cannot exhaust threads while it holds.
+    /// of idle connections cannot exhaust threads while it holds. This and
+    /// the two keep-alive limits below bound the coordinator too.
     pub max_connections: usize,
     /// Per-tenant cap on non-terminal sessions (`LT_SERVE_TENANT_CAP`,
     /// default 64). Tenancy is the `X-Tenant` request header (`"default"`
@@ -105,9 +108,9 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Reads `LT_SERVE_ADDR`, `LT_SERVE_WORKERS`, `LT_SERVE_QUEUE` and
-    /// `LT_SERVE_CONNS` on top of the defaults. Unparseable values fall
-    /// back to the default rather than failing startup.
+    /// Reads the `LT_SERVE_*`, `LT_WAL_DIR` and `LT_SHARD_ID` overrides on
+    /// top of the defaults. Unparseable values fall back to the default
+    /// rather than failing startup.
     pub fn from_env() -> ServerConfig {
         let mut config = ServerConfig::default();
         if let Ok(addr) = std::env::var("LT_SERVE_ADDR") {
@@ -115,28 +118,13 @@ impl ServerConfig {
                 config.addr = addr.trim().to_string();
             }
         }
-        let usize_env = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&v| v > 0)
-        };
-        if let Some(workers) = usize_env("LT_SERVE_WORKERS") {
-            config.workers = workers;
-        }
-        if let Some(depth) = usize_env("LT_SERVE_QUEUE") {
-            config.queue_depth = depth;
-        }
-        if let Some(conns) = usize_env("LT_SERVE_CONNS") {
-            config.max_connections = conns;
-        }
-        if let Some(cap) = usize_env("LT_SERVE_TENANT_CAP") {
-            config.tenant_cap = cap;
-        }
-        if let Some(max) = usize_env("LT_SERVE_KEEPALIVE_MAX") {
-            config.keepalive_max = max;
-        }
-        if let Some(ms) = usize_env("LT_SERVE_IDLE_MS") {
+        config.workers = positive_env("LT_SERVE_WORKERS").unwrap_or(config.workers);
+        config.queue_depth = positive_env("LT_SERVE_QUEUE").unwrap_or(config.queue_depth);
+        config.max_connections = positive_env("LT_SERVE_CONNS").unwrap_or(config.max_connections);
+        config.tenant_cap = positive_env("LT_SERVE_TENANT_CAP").unwrap_or(config.tenant_cap);
+        config.keepalive_max =
+            positive_env("LT_SERVE_KEEPALIVE_MAX").unwrap_or(config.keepalive_max);
+        if let Some(ms) = positive_env("LT_SERVE_IDLE_MS") {
             config.idle_timeout_ms = ms as u64;
         }
         if let Ok(dir) = std::env::var("LT_WAL_DIR") {
@@ -151,39 +139,37 @@ impl ServerConfig {
         }
         config
     }
+
+    /// The front-end connection limits.
+    pub fn limits(&self) -> Limits {
+        Limits {
+            max_connections: self.max_connections,
+            keepalive_max: self.keepalive_max,
+            idle_timeout_ms: self.idle_timeout_ms,
+        }
+    }
+}
+
+/// A positive integer from the environment; `None` when unset or not one.
+pub(crate) fn positive_env(name: &str) -> Option<usize> {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&v| v > 0)
 }
 
 struct ServerState {
     registry: SessionRegistry,
     pool: WorkerPool,
-    shutdown: AtomicBool,
-    /// The bound address; `POST /shutdown` pokes it so the accept loop
-    /// observes the shutdown flag without waiting for another client.
-    addr: SocketAddr,
-    /// Live connection threads, bounded by `max_connections`.
-    connections: AtomicUsize,
-    max_connections: usize,
+    /// Set by [`ServerHandle::shutdown`] and `POST /shutdown`.
+    shutdown: Arc<Shutdown>,
     /// Per-tenant non-terminal-session quota.
     tenant_cap: usize,
-    /// Keep-alive per-connection request cap.
-    keepalive_max: usize,
-    /// Keep-alive idle timeout (also the per-request read timeout).
-    idle_timeout: Duration,
     /// Shard identity (fabric mode), `None` standalone.
     shard_id: Option<u32>,
     /// Draining: admission off (new sessions answer 503), reads keep
     /// working. Set by `POST /shard/drain` ahead of planned removal.
     draining: AtomicBool,
-}
-
-/// Decrements the live-connection count when a connection thread exits,
-/// however it exits.
-struct ConnectionGuard(Arc<ServerState>);
-
-impl Drop for ConnectionGuard {
-    fn drop(&mut self) {
-        self.0.connections.fetch_sub(1, Ordering::SeqCst);
-    }
 }
 
 /// A running server. Dropping the handle (or calling
@@ -211,10 +197,7 @@ impl ServerHandle {
     /// Graceful shutdown: stop accepting, drain queued sessions, join all
     /// threads. Idempotent.
     pub fn shutdown(&mut self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        // The accept loop blocks in accept(); poke it with a throwaway
-        // connection so it observes the flag without waiting for a client.
-        let _ = TcpStream::connect(self.addr);
+        self.state.shutdown.request();
         self.wait();
         self.state.pool.shutdown();
     }
@@ -251,62 +234,23 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
             stats.sessions, stats.requeued, stats.retunes_requeued, stats.fleet, stats.skipped
         );
     }
+    let shutdown = Arc::new(Shutdown::new(addr));
     let state = Arc::new(ServerState {
         registry,
         pool,
-        shutdown: AtomicBool::new(false),
-        addr,
-        connections: AtomicUsize::new(0),
-        max_connections: config.max_connections.max(1),
+        shutdown: shutdown.clone(),
         tenant_cap: config.tenant_cap.max(1),
-        keepalive_max: config.keepalive_max.max(1),
-        idle_timeout: Duration::from_millis(config.idle_timeout_ms.max(1)),
         shard_id: config.shard_id,
         draining: AtomicBool::new(false),
     });
-    let accept_state = state.clone();
-    let accept_thread = std::thread::Builder::new()
-        .name("lt-serve-accept".to_string())
-        .spawn(move || {
-            for stream in listener.incoming() {
-                if accept_state.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(mut stream) = stream else { continue };
-                // Connection admission: each connection holds a thread (up
-                // to the 30 s read timeout), so cap them like tuning jobs.
-                // The guard decrements on every exit path, panics included.
-                if accept_state.connections.fetch_add(1, Ordering::SeqCst)
-                    >= accept_state.max_connections
-                {
-                    accept_state.connections.fetch_sub(1, Ordering::SeqCst);
-                    obs::counter("serve.connections_rejected", 1);
-                    // Drain whatever the client already sent (non-blocking,
-                    // best effort): closing a socket with unread bytes
-                    // resets the connection and would eat the 503.
-                    let _ = stream.set_nonblocking(true);
-                    let mut scratch = [0u8; 4096];
-                    while matches!(stream.read(&mut scratch), Ok(n) if n > 0) {}
-                    let _ = stream.set_nonblocking(false);
-                    // Tiny fixed body: fits the socket buffer, so this
-                    // cannot stall the accept loop for long.
-                    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-                    let _ = Response::error(503, "too many connections, retry later")
-                        .write_to(&mut stream);
-                    continue;
-                }
-                // On spawn failure the unstarted closure is dropped and the
-                // moved guard decrements the count right there.
-                let guard = ConnectionGuard(accept_state.clone());
-                let conn_state = accept_state.clone();
-                let _ = std::thread::Builder::new()
-                    .name("lt-serve-conn".to_string())
-                    .spawn(move || {
-                        let _guard = guard;
-                        handle_connection(stream, &conn_state);
-                    });
-            }
-        })?;
+    let router_state = state.clone();
+    let accept_thread = http::serve(
+        listener,
+        Role::Daemon,
+        config.limits(),
+        shutdown,
+        move |request| route(request, &router_state),
+    )?;
     Ok(ServerHandle {
         addr,
         state,
@@ -314,60 +258,27 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
     })
 }
 
-fn handle_connection(mut stream: TcpStream, state: &ServerState) {
-    let _ = stream.set_read_timeout(Some(state.idle_timeout));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-    // Close-by-default with opt-in reuse: a client sending
-    // `Connection: keep-alive` gets the connection back for more requests,
-    // up to the per-connection cap; the read timeout doubles as the idle
-    // timeout between them.
-    for served in 0..state.keepalive_max {
-        let request = match read_request(&mut stream) {
-            Ok(request) => request,
-            Err(err) => {
-                // After at least one request, an error here is just the
-                // client being done (clean close or idle timeout) — end the
-                // connection silently rather than answering 400.
-                if served == 0 {
-                    let _ = Response::error(400, &format!("malformed request: {err}"))
-                        .write_to(&mut stream);
-                }
-                return;
-            }
-        };
-        if served > 0 {
-            obs::counter("serve.keepalive_reuse", 1);
-        }
-        let keep = request.wants_keep_alive() && served + 1 < state.keepalive_max;
-        let response = route(&request, state);
-        if response.write_connection(&mut stream, keep).is_err() || !keep {
-            return;
-        }
-    }
-}
-
 /// Dispatches one request. Total: every `(method, path)` gets an answer.
 /// Paths are matched first, so a known path with the wrong verb is a 405
 /// carrying an `Allow` header, and only unknown paths are 404.
 fn route(request: &Request, state: &ServerState) -> Response {
     obs::counter("serve.http_requests", 1);
-    let path = request.path.split('?').next().unwrap_or("");
-    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
+    let (path, segments) = request.route_path();
     let method = request.method.as_str();
     match segments.as_slice() {
         ["sessions"] => match method {
             "POST" => submit_session(request, state),
             "GET" => list_sessions(state),
-            _ => method_not_allowed(method, path, "GET, POST"),
+            _ => Response::method_not_allowed(method, path, "GET, POST"),
         },
         ["sessions", id] => match method {
             "GET" => with_session(state, id, |s| session_status(request, s)),
             "DELETE" => with_session(state, id, cancel_session),
-            _ => method_not_allowed(method, path, "GET, DELETE"),
+            _ => Response::method_not_allowed(method, path, "GET, DELETE"),
         },
         ["sessions", id, "queries"] => match method {
             "POST" => with_session(state, id, |s| feed_queries(request, state, s)),
-            _ => method_not_allowed(method, path, "POST"),
+            _ => Response::method_not_allowed(method, path, "POST"),
         },
         ["sessions", id, "config"] => match method {
             "GET" => with_session(state, id, |s| {
@@ -383,19 +294,19 @@ fn route(request: &Request, state: &ServerState) -> Response {
                     ),
                 }
             }),
-            _ => method_not_allowed(method, path, "GET"),
+            _ => Response::method_not_allowed(method, path, "GET"),
         },
         ["metrics"] => match method {
             "GET" => metrics(state),
-            _ => method_not_allowed(method, path, "GET"),
+            _ => Response::method_not_allowed(method, path, "GET"),
         },
         ["healthz"] => match method {
             "GET" => Response::json(200, &json!({ "ok": true })),
-            _ => method_not_allowed(method, path, "GET"),
+            _ => Response::method_not_allowed(method, path, "GET"),
         },
         ["shard", "healthz"] => match method {
             "GET" => shard_healthz(state),
-            _ => method_not_allowed(method, path, "GET"),
+            _ => Response::method_not_allowed(method, path, "GET"),
         },
         ["shard", "drain"] => match method {
             "POST" => {
@@ -403,23 +314,18 @@ fn route(request: &Request, state: &ServerState) -> Response {
                 obs::counter("serve.shard_drains", 1);
                 Response::json(200, &json!({ "draining": true }))
             }
-            _ => method_not_allowed(method, path, "POST"),
+            _ => Response::method_not_allowed(method, path, "POST"),
         },
         ["shard", "adopt"] => match method {
             "POST" => adopt_session(request, state),
-            _ => method_not_allowed(method, path, "POST"),
+            _ => Response::method_not_allowed(method, path, "POST"),
         },
         ["shutdown"] => match method {
             "POST" => {
-                state.shutdown.store(true, Ordering::SeqCst);
-                // The accept loop re-checks the flag only when accept()
-                // returns; poke it so the daemon exits now instead of on
-                // the next unrelated connection (mirrors
-                // ServerHandle::shutdown).
-                let _ = TcpStream::connect(state.addr);
+                state.shutdown.request();
                 Response::json(200, &json!({ "shutting_down": true }))
             }
-            _ => method_not_allowed(method, path, "POST"),
+            _ => Response::method_not_allowed(method, path, "POST"),
         },
         _ => Response::error(404, &format!("no route for {path}")),
     }
@@ -486,18 +392,15 @@ fn shard_healthz(state: &ServerState) -> Response {
 /// that id. Global (fleet) quota was already enforced by the coordinator;
 /// the shard still refuses duplicates, drain mode and a full queue.
 fn adopt_session(request: &Request, state: &ServerState) -> Response {
-    if state.shutdown.load(Ordering::SeqCst) {
+    if state.shutdown.is_requested() {
         return Response::error(503, "server is shutting down");
     }
     if state.draining.load(Ordering::SeqCst) {
         return Response::error(503, "shard is draining");
     }
-    let Some(body) = request.body_str() else {
-        return Response::error(400, "body is not UTF-8");
-    };
-    let doc = match lt_common::json::parse(if body.trim().is_empty() { "{}" } else { body }) {
+    let doc = match request.json_body() {
         Ok(doc) => doc,
-        Err(err) => return Response::error(400, &format!("invalid JSON: {err}")),
+        Err(response) => return response,
     };
     let Some(id) = doc.get("id").and_then(|v| v.as_i64()).filter(|&v| v > 0) else {
         return Response::error(400, "\"id\" must be a positive integer");
@@ -524,39 +427,11 @@ fn adopt_session(request: &Request, state: &ServerState) -> Response {
         return Response::error(409, &format!("session {id} already exists on this shard"));
     }
     let handle = state.registry.restore_handle(id, &tenant, tune_request);
-    let created = SessionRecord::Created {
-        id,
-        tenant: tenant.clone(),
-        request: handle.lock().request.to_wal_json(),
-    };
-    // Same acknowledgement contract as `POST /sessions`: the fsync happens
-    // before the 202, so an acked adoption survives a shard crash.
-    handle.log_sync(&created);
-    match state.pool.submit(handle.clone()) {
-        Ok(()) => {
-            obs::counter("serve.sessions_accepted", 1);
-            obs::counter("serve.sessions_adopted", 1);
-            Response::json(202, &json!({ "id": id, "state": "queued" }))
-        }
-        Err(reason) => {
-            handle.log_sync(&SessionRecord::Removed { id });
-            state.registry.remove(id);
-            obs::counter("serve.sessions_rejected", 1);
-            match reason {
-                SubmitError::QueueFull => Response::error(429, "job queue is full, retry later"),
-                SubmitError::ShuttingDown => Response::error(503, "server is shutting down"),
-            }
-        }
+    let response = enqueue(state, &handle, tenant);
+    if response.status == 202 {
+        obs::counter("serve.sessions_adopted", 1);
     }
-}
-
-/// 405 for a known path whose method set does not include `method`.
-fn method_not_allowed(method: &str, path: &str, allow: &'static str) -> Response {
-    Response::error(
-        405,
-        &format!("method {method} not allowed for {path} (allow: {allow})"),
-    )
-    .with_header("Allow", allow)
+    response
 }
 
 /// The `DELETE /sessions/<id>` handler.
@@ -591,18 +466,15 @@ fn cancel_session(s: &crate::session::SessionHandle) -> Response {
 }
 
 fn submit_session(request: &Request, state: &ServerState) -> Response {
-    if state.shutdown.load(Ordering::SeqCst) {
+    if state.shutdown.is_requested() {
         return Response::error(503, "server is shutting down");
     }
     if state.draining.load(Ordering::SeqCst) {
         return Response::error(503, "shard is draining");
     }
-    let Some(body) = request.body_str() else {
-        return Response::error(400, "body is not UTF-8");
-    };
-    let doc = match lt_common::json::parse(if body.trim().is_empty() { "{}" } else { body }) {
+    let doc = match request.json_body() {
         Ok(doc) => doc,
-        Err(err) => return Response::error(400, &format!("invalid JSON: {err}")),
+        Err(response) => return response,
     };
     let tune_request = match TuneRequest::from_json(&doc) {
         Ok(req) => req,
@@ -611,14 +483,7 @@ fn submit_session(request: &Request, state: &ServerState) -> Response {
             return Response::error(400, err.message());
         }
     };
-    // Tenancy is declared, not authenticated — this models quota
-    // accounting, not security. Missing/blank headers share one bucket.
-    let tenant = request
-        .header("x-tenant")
-        .map(str::trim)
-        .filter(|t| !t.is_empty())
-        .unwrap_or("default")
-        .to_string();
+    let tenant = request.tenant();
     let handle =
         match state
             .registry
@@ -637,20 +502,23 @@ fn submit_session(request: &Request, state: &ServerState) -> Response {
                 .with_header("Retry-After", "30");
             }
         };
-    // The admission record is fsynced before the 202: once the client has
-    // an acknowledgement, a crash cannot lose the session.
-    let (id, created) = {
+    enqueue(state, &handle, tenant)
+}
+
+/// Logs a new session's admission record and queues it — the shared tail
+/// of `POST /sessions` and `POST /shard/adopt`. The record is fsynced
+/// before the 202: once the client has an acknowledgement, a crash cannot
+/// lose the session.
+fn enqueue(state: &ServerState, handle: &SessionHandle, tenant: String) -> Response {
+    let (id, request) = {
         let s = handle.lock();
-        (
-            s.id,
-            SessionRecord::Created {
-                id: s.id,
-                tenant: tenant.clone(),
-                request: s.request.to_wal_json(),
-            },
-        )
+        (s.id, s.request.to_wal_json())
     };
-    handle.log_sync(&created);
+    handle.log_sync(&SessionRecord::Created {
+        id,
+        tenant,
+        request,
+    });
     match state.pool.submit(handle.clone()) {
         Ok(()) => {
             obs::counter("serve.sessions_accepted", 1);
@@ -683,12 +551,9 @@ const MAX_FEED_QUERIES: usize = 512;
 /// strings or an inline `"spec"` workload spec expanded by `lt-synth`;
 /// both run through the same validation and logging.
 fn feed_queries(request: &Request, state: &ServerState, handle: &SessionHandle) -> Response {
-    let Some(body) = request.body_str() else {
-        return Response::error(400, "body is not UTF-8");
-    };
-    let doc = match lt_common::json::parse(if body.trim().is_empty() { "{}" } else { body }) {
+    let doc = match request.json_body() {
         Ok(doc) => doc,
-        Err(err) => return Response::error(400, &format!("invalid JSON: {err}")),
+        Err(response) => return response,
     };
     if doc.get("queries").is_some() && doc.get("spec").is_some() {
         return Response::error(400, "provide either \"queries\" or \"spec\", not both");

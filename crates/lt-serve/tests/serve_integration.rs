@@ -379,19 +379,10 @@ fn http_shutdown_stops_the_accept_loop() {
     server.shutdown();
 }
 
-/// Connections above `max_connections` are refused with 503 before any
-/// thread is spawned, and the slot frees once a connection closes.
-#[test]
-fn connection_cap_answers_503_and_recovers() {
-    let mut server = start(ServerConfig {
-        workers: 1,
-        queue_depth: 4,
-        max_connections: 1,
-        ..ServerConfig::default()
-    })
-    .expect("bind loopback");
-    let addr = server.addr();
-
+/// Holds the only connection slot of the server at `addr`, checks that
+/// another client is turned away with 503, then releases the slot and
+/// checks that service resumes.
+fn assert_connection_cap(addr: SocketAddr) {
     // An idle client holds the single connection slot (its thread sits in
     // the read timeout)…
     let held = std::net::TcpStream::connect(addr).expect("hold a connection");
@@ -422,7 +413,83 @@ fn connection_cap_answers_503_and_recovers() {
         assert!(Instant::now() < deadline, "connection slot never freed");
         std::thread::sleep(Duration::from_millis(10));
     }
+}
+
+/// Connections above `max_connections` are refused with 503 before any
+/// thread is spawned, and the slot frees once a connection closes.
+#[test]
+fn connection_cap_answers_503_and_recovers() {
+    let mut server = start(ServerConfig {
+        workers: 1,
+        queue_depth: 4,
+        max_connections: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+    assert_connection_cap(server.addr());
     server.shutdown();
+}
+
+/// A 1-shard fabric whose coordinator runs with `limits` adjusted by
+/// `configure`.
+fn one_shard_fabric(
+    configure: impl FnOnce(&mut lt_serve::http::Limits),
+) -> (lt_serve::ServerHandle, lt_serve::CoordinatorHandle) {
+    let shard = start(ServerConfig {
+        workers: 1,
+        shard_id: Some(0),
+        ..ServerConfig::default()
+    })
+    .expect("bind shard");
+    let mut config = CoordinatorConfig::new(vec![ShardSpec {
+        id: 0,
+        addr: shard.addr(),
+    }]);
+    configure(&mut config.limits);
+    let coord = start_coordinator(config).expect("bind coordinator");
+    (shard, coord)
+}
+
+/// The coordinator's front end is capped like a daemon's.
+#[test]
+fn coordinator_connection_cap_answers_503_and_recovers() {
+    let (_shard, mut coord) = one_shard_fabric(|limits| limits.max_connections = 1);
+    assert_connection_cap(coord.addr());
+    coord.shutdown();
+}
+
+/// The idle timeout bounds the wait between requests, never a request being
+/// routed: a long-poll through the coordinator that outlasts it answers 200.
+#[test]
+fn coordinator_idle_timeout_never_cuts_a_long_poll() {
+    let (_shard, mut coord) = one_shard_fabric(|limits| limits.idle_timeout_ms = 200);
+    let addr = coord.addr();
+    // A long session holds the shard's single worker, so the second one
+    // stays queued and its long-poll has a state change to wait for.
+    let (status, _) = post_session(addr, r#"{"seed": 9500, "num_configs": 64}"#);
+    assert_eq!(status, 202);
+    let (status, doc) = post_session(addr, r#"{"seed": 9501, "num_configs": 2}"#);
+    assert_eq!(status, 202);
+    let queued = doc.get("id").and_then(Value::as_i64).unwrap();
+    let started = Instant::now();
+    let (status, body) = request(
+        addr,
+        "GET",
+        &format!("/sessions/{queued}?wait_ms=1000"),
+        None,
+    )
+    .expect("long-poll through the coordinator");
+    assert_eq!(status, 200, "{body}");
+    let waited = started.elapsed();
+    let state = parse(&body)
+        .ok()
+        .and_then(|d| Some(d.get("state")?.as_str()?.to_string()))
+        .expect("status document carries a state");
+    assert!(
+        state != "queued" || waited >= Duration::from_millis(1000),
+        "long-poll returned early without a state change: {waited:?}, {body}"
+    );
+    coord.shutdown();
 }
 
 /// Builds a `POST /sessions/<id>/queries` body from SQL strings.
