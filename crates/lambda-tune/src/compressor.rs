@@ -12,7 +12,7 @@
 //! * maximize `Σ V(p)·R_p`.
 
 use crate::snippets::Snippet;
-use lt_common::lru::{cap_from_env, LruMap};
+use lt_common::lru::{Counters, Memo};
 use lt_common::{obs, ColumnId, FxHasher, Result};
 use lt_dbms::Catalog;
 use lt_ilp::{solve, Ilp, SolveOptions};
@@ -20,10 +20,10 @@ use lt_llm::count_tokens;
 use lt_workloads::Obfuscator;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hasher;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
-/// Default bound on the ILP memo; override with `LT_COMPRESS_MEMO_CAP`.
-const DEFAULT_MEMO_CAP: usize = 256;
+/// Bound on the ILP memo.
+const MEMO_CAP: usize = 256;
 
 /// Process-wide memo for ILP compression results. The solve is by far the
 /// most expensive step of the tuning pipeline (seconds at realistic token
@@ -32,25 +32,20 @@ const DEFAULT_MEMO_CAP: usize = 256;
 /// (estimated costs are seed-independent under default statistics), as do
 /// ablation variants that only change selector behaviour. Keyed by a
 /// fingerprint of everything `compress` reads — budget, snippet ids and
-/// values, and the rendered column names. Bounded LRU (`LT_COMPRESS_MEMO_CAP`
-/// entries, evictions counted as `compress.memo_evict`) so fleet-scale runs
-/// cannot grow it without limit. Disabled alongside the plan cache by
-/// `LT_PLAN_CACHE=0` so the cache-less baseline is measurable.
-fn compression_memo() -> Option<&'static Mutex<LruMap<u64, CompressedWorkload>>> {
-    static MEMO: OnceLock<Option<Mutex<LruMap<u64, CompressedWorkload>>>> = OnceLock::new();
+/// values, and the rendered column names. Bounded LRU (evictions counted as
+/// `compress.memo_evict`) so fleet-scale runs cannot grow it without limit.
+fn compression_memo() -> &'static Memo<u64, CompressedWorkload> {
+    static MEMO: OnceLock<Memo<u64, CompressedWorkload>> = OnceLock::new();
     MEMO.get_or_init(|| {
-        let enabled = !matches!(
-            std::env::var("LT_PLAN_CACHE").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        );
-        enabled.then(|| {
-            Mutex::new(LruMap::new(cap_from_env(
-                "LT_COMPRESS_MEMO_CAP",
-                DEFAULT_MEMO_CAP,
-            )))
-        })
+        Memo::new(
+            MEMO_CAP,
+            Counters {
+                hit: "compress.memo_hit",
+                miss: "compress.memo_miss",
+                evict: "compress.memo_evict",
+            },
+        )
     })
-    .as_ref()
 }
 
 /// The compressed workload description destined for the prompt.
@@ -151,21 +146,10 @@ impl<'a> Compressor<'a> {
             });
         }
         let key = self.compress_key(snippets, budget);
-        if let Some(memo) = compression_memo() {
-            if let Some(hit) = memo.lock().unwrap().get(&key) {
-                obs::counter("compress.memo_hit", 1);
-                return Ok(hit.clone());
-            }
-        }
-        let _span = obs::span("tune.compress");
-        obs::counter("compress.memo_miss", 1);
-        let result = self.compress_uncached(snippets, budget, total_value)?;
-        if let Some(memo) = compression_memo() {
-            if memo.lock().unwrap().insert(key, result.clone()).is_some() {
-                obs::counter("compress.memo_evict", 1);
-            }
-        }
-        Ok(result)
+        compression_memo().try_get_or_insert_with(key, || {
+            let _span = obs::span("tune.compress");
+            self.compress_uncached(snippets, budget, total_value)
+        })
     }
 
     fn compress_uncached(

@@ -8,15 +8,13 @@
 //! so serving a sample from the cache is indistinguishable from calling the
 //! model, except that no tokens are spent.
 //!
-//! Bounded LRU (`LT_SAMPLE_CACHE_CAP`, evictions counted as
-//! `fleet.sample_evict`).
+//! Bounded LRU (evictions counted as `fleet.sample_evict`).
 
-use lt_common::lru::{cap_from_env, LruMap};
-use lt_common::{hash_one, obs};
-use std::sync::Mutex;
+use lt_common::hash_one;
+use lt_common::lru::{Counters, Memo};
 
-/// Default bound on cached samples; override with `LT_SAMPLE_CACHE_CAP`.
-const DEFAULT_SAMPLE_CAP: usize = 4096;
+/// Bound on cached samples.
+const SAMPLE_CAP: usize = 4096;
 
 /// Key: (prompt hash, temperature bits, sampling seed).
 type SampleKey = (u64, u64, u64);
@@ -25,7 +23,7 @@ type SampleKey = (u64, u64, u64);
 /// model's completion. See the module docs.
 #[derive(Debug)]
 pub struct SampleCache {
-    entries: Mutex<LruMap<SampleKey, String>>,
+    entries: Memo<SampleKey, String>,
 }
 
 impl Default for SampleCache {
@@ -35,15 +33,22 @@ impl Default for SampleCache {
 }
 
 impl SampleCache {
-    /// Cache bounded by the `LT_SAMPLE_CACHE_CAP` environment knob.
+    /// Cache bounded to the default capacity.
     pub fn new() -> Self {
-        Self::with_cap(cap_from_env("LT_SAMPLE_CACHE_CAP", DEFAULT_SAMPLE_CAP))
+        Self::with_cap(SAMPLE_CAP)
     }
 
     /// Cache bounded to exactly `cap` samples (tests, sized pools).
     pub fn with_cap(cap: usize) -> Self {
         SampleCache {
-            entries: Mutex::new(LruMap::new(cap)),
+            entries: Memo::new(
+                cap,
+                Counters {
+                    hit: "fleet.sample_hit",
+                    miss: "fleet.sample_miss",
+                    evict: "fleet.sample_evict",
+                },
+            ),
         }
     }
 
@@ -54,31 +59,18 @@ impl SampleCache {
     /// Returns the cached completion for this sampling context, if any.
     /// Counts `fleet.sample_hit` / `fleet.sample_miss`.
     pub fn get(&self, prompt: &str, temperature: f64, seed: u64) -> Option<String> {
-        let key = Self::key(prompt, temperature, seed);
-        match self.entries.lock().unwrap().get(&key) {
-            Some(response) => {
-                obs::counter("fleet.sample_hit", 1);
-                Some(response.clone())
-            }
-            None => {
-                obs::counter("fleet.sample_miss", 1);
-                None
-            }
-        }
+        self.entries.get(&Self::key(prompt, temperature, seed))
     }
 
     /// Stores a completion fetched from the model.
     pub fn insert(&self, prompt: &str, temperature: f64, seed: u64, response: String) {
-        let key = Self::key(prompt, temperature, seed);
-        let mut entries = self.entries.lock().unwrap();
-        if !entries.contains(&key) && entries.insert(key, response).is_some() {
-            obs::counter("fleet.sample_evict", 1);
-        }
+        self.entries
+            .insert(Self::key(prompt, temperature, seed), response);
     }
 
     /// Number of cached samples.
     pub fn len(&self) -> usize {
-        self.entries.lock().unwrap().len()
+        self.entries.len()
     }
 
     /// True when nothing is cached.

@@ -12,7 +12,8 @@
 //! `micro` bench target (`harness = false`).
 
 use lambda_tune::{cluster_queries, extract_snippets, find_optimal_order, Compressor};
-use lt_dbms::{Dbms, Hardware, SimDb};
+use lt_common::derive_seed;
+use lt_dbms::{Dbms, Hardware, IndexCatalog, KnobSet, Optimizer, SimDb};
 use lt_workloads::Benchmark;
 use std::hint::black_box;
 use std::time::Instant;
@@ -79,20 +80,20 @@ fn bench_optimizer() {
             Hardware::p3_2xlarge(),
             1,
         );
-        // Cold: every iteration plans against a fresh SimDb (cache empty).
+        // Cold: every query is extracted and planned by the optimizer
+        // itself, bypassing every plan-cache tier (a fresh SimDb would
+        // still hit the process-wide shared tier after the warmup).
+        let knobs = KnobSet::defaults(Dbms::Postgres);
+        let indexes = IndexCatalog::new();
+        let stats_seed = derive_seed(1, 1);
         bench(
             &format!("optimizer_plan_workload/{}/cold", benchmark.name()),
             1,
             5,
             || {
-                let fresh = SimDb::new(
-                    Dbms::Postgres,
-                    workload.catalog.clone(),
-                    Hardware::p3_2xlarge(),
-                    1,
-                );
                 for q in &workload.queries {
-                    black_box(fresh.explain(&q.parsed));
+                    let optimizer = Optimizer::new(&workload.catalog, &knobs, &indexes, stats_seed);
+                    black_box(optimizer.plan(&q.parsed));
                 }
             },
         );

@@ -1,29 +1,22 @@
-//! A small bounded LRU map used by every process-wide cache in the
-//! workspace (plan caches, the ILP compression memo, the fleet tuning
-//! cache, the LLM sample cache).
+//! The bounded LRU map and the thread-safe [`Memo`] on top of it: the one
+//! cache type behind every memo tier in the workspace (the per-session plan
+//! and predicate caches, the process-wide shared plan tier, the ILP
+//! compression memo, the LLM sample cache and the fleet tuning cache).
 //!
-//! Under fleet load the original unbounded memos grow without limit; the
-//! caches now share this one implementation so each can be capped with an
-//! `LT_*_CAP` environment knob and report evictions through its own obs
-//! counter. The structure is a plain `HashMap` into a slab of entries that
-//! are threaded on an intrusive doubly-linked recency list — no external
-//! crates, O(1) get/insert/evict.
+//! Each tier is a [`Memo`] with a fixed capacity and its own obs counter
+//! names for hits, misses and evictions. The map underneath is a plain
+//! `HashMap` into a slab of entries threaded on an intrusive doubly-linked
+//! recency list — no external crates, O(1) get/insert/evict.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
+
+use crate::obs;
 
 const NIL: usize = usize::MAX;
-
-/// Reads a cache capacity from environment variable `var`, falling back to
-/// `default` when unset or unparsable. All `LT_*_CAP` knobs go through
-/// here so they share one convention.
-pub fn cap_from_env(var: &str, default: usize) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
 
 struct Entry<K, V> {
     key: K,
@@ -196,6 +189,137 @@ impl<K: Clone + Eq + Hash, V> LruMap<K, V> {
     }
 }
 
+/// Obs counter names of one memo tier.
+#[derive(Debug, Clone, Copy)]
+pub struct Counters {
+    /// Counted on every lookup answered from the memo.
+    pub hit: &'static str,
+    /// Counted on every lookup the memo could not answer.
+    pub miss: &'static str,
+    /// Counted when an insert displaces the coldest entry.
+    pub evict: &'static str,
+}
+
+/// A thread-safe bounded LRU memo. Lookups count hits and misses under the
+/// tier's [`Counters`] (and in per-instance totals, see [`Memo::hits`]);
+/// inserts count evictions.
+#[derive(Debug)]
+pub struct Memo<K, V> {
+    map: Mutex<LruMap<K, V>>,
+    counters: Counters,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl<K: Clone + Eq + Hash, V: Clone> Memo<K, V> {
+    /// Empty memo bounded to `cap` entries.
+    pub fn new(cap: usize, counters: Counters) -> Self {
+        Memo {
+            map: Mutex::new(LruMap::new(cap)),
+            counters,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    fn map(&self) -> MutexGuard<'_, LruMap<K, V>> {
+        // Only O(1) map updates run under the lock (never `compute`), and
+        // none of them panics on a consistent map.
+        self.map
+            .lock()
+            .expect("memo lock poisoned by a panicking map update")
+    }
+
+    /// Looks `key` up, counting a hit or a miss.
+    pub fn get(&self, key: &K) -> Option<V> {
+        let found = self.map().get(key).cloned();
+        let (total, name) = match found {
+            Some(_) => (&self.hits, self.counters.hit),
+            None => (&self.misses, self.counters.miss),
+        };
+        total.fetch_add(1, Ordering::Relaxed);
+        obs::counter(name, 1);
+        found
+    }
+
+    /// Inserts `key → value` unless `key` is already present (a concurrent
+    /// computation got there first; the memoized values are equal). Returns
+    /// whether the value went in, counting an eviction if it displaced the
+    /// coldest entry.
+    pub fn insert(&self, key: K, value: V) -> bool {
+        let mut map = self.map();
+        if map.contains(&key) {
+            return false;
+        }
+        if map.insert(key, value).is_some() {
+            obs::counter(self.counters.evict, 1);
+        }
+        true
+    }
+
+    /// The memoized value for `key`, computing and inserting it on a miss.
+    /// `compute` runs outside the lock: it can be far more expensive than a
+    /// probe, it may itself read this memo, and a panic inside it cannot
+    /// poison the lock for later callers.
+    pub fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> V {
+        let Ok(value) =
+            self.try_get_or_insert_with(key, || Ok::<V, std::convert::Infallible>(compute()));
+        value
+    }
+
+    /// [`Memo::get_or_insert_with`] for a fallible computation; an error is
+    /// returned as is and nothing is inserted.
+    pub fn try_get_or_insert_with<E>(
+        &self,
+        key: K,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<V, E> {
+        if let Some(value) = self.get(&key) {
+            return Ok(value);
+        }
+        let value = compute()?;
+        self.insert(key, value.clone());
+        Ok(value)
+    }
+
+    /// True when `key` is cached, without counting or touching recency.
+    pub fn contains(&self, key: &K) -> bool {
+        self.map().contains(key)
+    }
+
+    /// Every cached `(key, value)` pair, in unspecified order, without
+    /// counting or touching recency.
+    pub fn entries(&self) -> Vec<(K, V)> {
+        let map = self.map();
+        map.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+    }
+
+    /// Lookups answered from this memo since construction.
+    pub fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Lookups this memo could not answer since construction.
+    pub fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Live entry count.
+    pub fn len(&self) -> usize {
+        self.map().len()
+    }
+
+    /// True when nothing is cached.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Drops every entry; the hit/miss totals are kept.
+    pub fn clear(&self) {
+        self.map().clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,5 +378,69 @@ mod tests {
         assert!(lru.is_empty());
         assert_eq!(lru.get(&1), None);
         assert!(lru.insert(3, "c").is_none());
+    }
+
+    fn counters() -> Counters {
+        Counters {
+            hit: "test.memo_hit",
+            miss: "test.memo_miss",
+            evict: "test.memo_evict",
+        }
+    }
+
+    #[test]
+    fn memo_counts_under_its_own_names_and_evicts_only_on_displacement() {
+        let _guard = crate::obs::tests::test_lock();
+        obs::set_enabled(true);
+        obs::reset();
+        let memo = Memo::new(2, counters());
+        assert_eq!(memo.get_or_insert_with(1, || "a"), "a"); // miss
+        assert_eq!(memo.get_or_insert_with(1, || panic!("cached")), "a"); // hit
+        assert_eq!(memo.get_or_insert_with(2, || "b"), "b"); // miss, fills the cap
+        assert!(!memo.insert(2, "B"), "present key is not replaced");
+        assert!(memo.get(&9).is_none()); // miss
+        assert_eq!(memo.get_or_insert_with(3, || "c"), "c"); // miss, evicts 1
+        obs::set_enabled(false);
+        let snap = obs::snapshot();
+        let count = |name: &str| {
+            snap.counters
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map_or(0, |(_, v)| *v)
+        };
+        assert_eq!(count("test.memo_hit"), 1);
+        assert_eq!(count("test.memo_miss"), 4);
+        assert_eq!(count("test.memo_evict"), 1);
+        assert_eq!((memo.hits(), memo.misses()), (1, 4));
+        assert_eq!(memo.len(), 2);
+        assert!(!memo.contains(&1), "coldest entry evicted");
+        assert_eq!(memo.get(&2), Some("b"));
+    }
+
+    #[test]
+    fn compute_may_read_the_same_memo_without_deadlock() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let memo = Memo::new(4, counters());
+            memo.insert(1u64, 10u64);
+            let value = memo.get_or_insert_with(2, || {
+                memo.get(&1).unwrap() + memo.get_or_insert_with(3, || 5)
+            });
+            tx.send((value, memo.len())).unwrap();
+        });
+        let got = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("compute ran under the memo lock");
+        worker.join().unwrap();
+        assert_eq!(got, (15, 3));
+    }
+
+    #[test]
+    fn failed_compute_inserts_nothing() {
+        let memo: Memo<u64, u64> = Memo::new(4, counters());
+        assert_eq!(memo.try_get_or_insert_with(1, || Err("no")), Err("no"));
+        assert!(memo.is_empty());
+        assert_eq!(memo.try_get_or_insert_with(1, || Ok::<_, ()>(7)), Ok(7));
+        assert_eq!(memo.entries(), vec![(1, 7)]);
     }
 }

@@ -582,13 +582,13 @@ impl Snapshot {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::secs;
 
     /// The registry is process-global, so tests that mutate it serialize on
     /// this lock (cargo runs `#[test]`s on concurrent threads).
-    fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         match LOCK.lock() {
             Ok(g) => g,

@@ -12,11 +12,10 @@ use crate::config::{Configuration, IndexSpec};
 use crate::executor::{ExecutionContext, ExecutionModel};
 use crate::hardware::Hardware;
 use crate::knobs::{Dbms, KnobSet};
-use crate::optimizer::Optimizer;
 use crate::physical::IndexCatalog;
 use crate::plan::Plan;
-use crate::plan_cache::{CacheStats, PlanCache, PlanKey};
-use crate::stats::{extract, QueryPredicates};
+use crate::plan_cache::{CacheStats, PlanCache};
+use crate::stats::QueryPredicates;
 use lt_common::{derive_seed, obs, secs, IndexId, Secs, VirtualClock};
 use lt_sql::ast::Query;
 use std::hash::{Hash, Hasher};
@@ -49,10 +48,6 @@ pub struct SimDb {
     /// `knobs.planner_fingerprint()`, refreshed on knob mutation so the hot
     /// execute path doesn't rehash the knob set per query.
     planner_fp: lt_common::Fingerprint,
-    /// `catalog.fingerprint()`, computed once at construction (the catalog
-    /// is immutable thereafter). Keys the shared cross-session plan tier
-    /// and the fleet tuning cache.
-    catalog_fp: lt_common::Fingerprint,
 }
 
 impl SimDb {
@@ -61,7 +56,8 @@ impl SimDb {
     pub fn new(dbms: Dbms, catalog: Catalog, hardware: Hardware, seed: u64) -> Self {
         let knobs = KnobSet::defaults(dbms);
         let planner_fp = knobs.planner_fingerprint();
-        let catalog_fp = catalog.fingerprint();
+        let model = ExecutionModel::new(derive_seed(seed, 1), derive_seed(seed, 2));
+        let plan_cache = PlanCache::new(catalog.fingerprint(), model.stats_seed);
         SimDb {
             dbms,
             catalog,
@@ -69,20 +65,19 @@ impl SimDb {
             knobs,
             indexes: IndexCatalog::new(),
             clock: VirtualClock::new(),
-            model: ExecutionModel::new(derive_seed(seed, 1), derive_seed(seed, 2)),
+            model,
             exec_counter: 0,
             knob_fingerprint: 0,
             queries_executed: 0,
             queries_completed: 0,
-            plan_cache: PlanCache::new(),
+            plan_cache,
             planner_fp,
-            catalog_fp,
         }
     }
 
     /// Content fingerprint of this instance's catalog.
     pub fn catalog_fingerprint(&self) -> lt_common::Fingerprint {
-        self.catalog_fp
+        self.plan_cache.catalog_fingerprint()
     }
 
     /// The target system flavour.
@@ -226,8 +221,7 @@ impl SimDb {
     /// [`cache_stats`](Self::cache_stats)).
     pub fn execute(&mut self, query: &Query, timeout: Secs) -> QueryOutcome {
         let tag = query_tag(query);
-        let preds = self.predicates_cached(tag, query);
-        let plan = self.plan_cached(tag, &preds);
+        let (preds, plan) = self.plan_current(tag, query);
         let time = self.model.execution_time(
             &plan,
             &preds,
@@ -260,9 +254,7 @@ impl SimDb {
     /// clock) and returns the annotated plan text with estimated vs actual
     /// rows and per-operator time.
     pub fn explain_analyze(&mut self, query: &Query) -> (String, QueryOutcome) {
-        let tag = query_tag(query);
-        let preds = self.predicates_cached(tag, query);
-        let plan = self.plan_cached(tag, &preds);
+        let (preds, plan) = self.plan_current(query_tag(query), query);
         let profile = self.model.profile(&plan, &preds, &self.ctx());
         let outcome = self.execute(query, lt_common::Secs::INFINITY);
         let mut text = String::new();
@@ -281,54 +273,33 @@ impl SimDb {
 
     /// Plans a query under the current configuration (free: EXPLAIN).
     pub fn explain(&self, query: &Query) -> Plan {
-        let tag = query_tag(query);
-        let preds = self.predicates_cached(tag, query);
-        (*self.plan_cached(tag, &preds)).clone()
+        (*self.plan_current(query_tag(query), query).1).clone()
     }
 
     /// Plans a query as if `hypothetical` were the index set (free what-if
     /// optimization, the primitive behind Dexter / DB2 Advisor).
     pub fn explain_with_indexes(&self, query: &Query, hypothetical: &IndexCatalog) -> Plan {
-        let tag = query_tag(query);
-        let preds = self.predicates_cached(tag, query);
-        let key = PlanKey {
-            query: tag,
-            knobs: self.planner_fp,
-            indexes: hypothetical.fingerprint_for_tables(&preds.tables),
-        };
-        let plan = self.plan_cache.plan_or_insert(key, || {
-            Optimizer::new(
-                &self.catalog,
-                &self.knobs,
-                hypothetical,
-                self.model.stats_seed,
-            )
-            .plan_extracted(&preds)
-        });
-        (*plan).clone()
+        self.plan_cache.plan_what_if(
+            query,
+            &self.catalog,
+            &self.knobs,
+            self.planner_fp,
+            hypothetical,
+        )
     }
 
     /// Plans a query under hypothetical knobs (free what-if).
     pub fn explain_with_knobs(&self, query: &Query, knobs: &KnobSet) -> Plan {
-        let tag = query_tag(query);
-        let preds = self.predicates_cached(tag, query);
-        let key = PlanKey {
-            query: tag,
-            knobs: knobs.planner_fingerprint(),
-            indexes: self.indexes.fingerprint_for_tables(&preds.tables),
-        };
-        let plan = self.plan_cache.plan_or_insert(key, || {
-            Optimizer::new(&self.catalog, knobs, &self.indexes, self.model.stats_seed)
-                .plan_extracted(&preds)
-        });
-        (*plan).clone()
+        let knobs_fp = knobs.planner_fingerprint();
+        self.plan_cache
+            .plan_what_if(query, &self.catalog, knobs, knobs_fp, &self.indexes)
     }
 
     /// Extracted predicates of `query`, memoized per query text. The schema
     /// catalog is immutable for the lifetime of the instance, so the query
     /// fingerprint alone keys the entry.
     pub fn predicates(&self, query: &Query) -> Arc<QueryPredicates> {
-        self.predicates_cached(query_tag(query), query)
+        self.plan_cache.predicates(&self.catalog, query)
     }
 
     /// Plan-cache hit/miss counters (plans and predicate extractions).
@@ -349,46 +320,16 @@ impl SimDb {
         self.plan_cache.take_window()
     }
 
-    fn predicates_cached(&self, tag: u64, query: &Query) -> Arc<QueryPredicates> {
-        self.plan_cache
-            .predicates_or_insert(tag, || extract(query, &self.catalog))
-    }
-
-    /// Plans under the *current* knobs and indexes through the cache.
-    ///
-    /// The index component of the key is the canonical fingerprint of the
-    /// indexes on *this query's tables* only: creating an index on an
-    /// unrelated table (the evaluator builds indexes lazily between tuning
-    /// rounds) leaves every other query's cached plan valid.
-    /// A local miss falls through to the process-wide shared tier (see
-    /// [`crate::global_cache`]) before planning from scratch; fresh plans
-    /// are published back so concurrent sessions on the same catalog and
-    /// seed skip the optimizer entirely.
-    fn plan_cached(&self, tag: u64, preds: &QueryPredicates) -> Arc<Plan> {
-        let key = PlanKey {
-            query: tag,
-            knobs: self.planner_fp,
-            indexes: self.indexes.fingerprint_for_tables(&preds.tables),
-        };
-        let global_key = crate::global_cache::GlobalPlanKey {
-            catalog: self.catalog_fp,
-            stats_seed: self.model.stats_seed,
-            key,
-        };
-        self.plan_cache.plan_or_insert(key, || {
-            if let Some(shared) = crate::global_cache::lookup(&global_key) {
-                return (*shared).clone();
-            }
-            let plan = Optimizer::new(
-                &self.catalog,
-                &self.knobs,
-                &self.indexes,
-                self.model.stats_seed,
-            )
-            .plan_extracted(preds);
-            crate::global_cache::publish(global_key, Arc::new(plan.clone()));
-            plan
-        })
+    /// Plans under the *current* knobs and indexes; see [`PlanCache::plan`].
+    fn plan_current(&self, tag: u64, query: &Query) -> (Arc<QueryPredicates>, Arc<Plan>) {
+        self.plan_cache.plan(
+            tag,
+            query,
+            &self.catalog,
+            &self.knobs,
+            self.planner_fp,
+            &self.indexes,
+        )
     }
 
     fn ctx(&self) -> ExecutionContext<'_> {
@@ -425,6 +366,7 @@ pub fn query_tag(query: &Query) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::Optimizer;
     use lt_sql::parse_query;
 
     fn db() -> SimDb {

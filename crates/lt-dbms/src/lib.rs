@@ -26,7 +26,6 @@ pub mod catalog;
 pub mod config;
 pub mod db;
 pub mod executor;
-pub mod global_cache;
 pub mod hardware;
 pub mod knobs;
 pub mod optimizer;

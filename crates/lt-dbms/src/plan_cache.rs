@@ -1,36 +1,57 @@
-//! Memoizing plan cache for the simulated DBMS.
+//! Memoized planning, shared by both tuning targets (the simulator's
+//! [`SimDb`](crate::SimDb) and lt-store's `StoreDb`).
 //!
-//! Planning is pure: the chosen plan depends only on (query, planner-relevant
-//! knobs, index set). λ-Tune's selector re-executes the same (configuration,
-//! query) pairs across its geometric-timeout rounds and the benchmark matrix
-//! replays whole workloads per configuration, so the same planning work used
-//! to be redone thousands of times per run. [`PlanCache`] memoizes both the
-//! Selinger planning result and the per-query predicate extraction.
+//! Planning is pure: the chosen plan depends only on (catalog, statistics
+//! seed, query, planner-relevant knobs, index set). λ-Tune's selector
+//! re-executes the same (configuration, query) pairs across its
+//! geometric-timeout rounds and the benchmark matrix replays whole workloads
+//! per configuration, so the same planning work used to be redone thousands
+//! of times per run. [`PlanCache`] memoizes both the Selinger planning result
+//! and the per-query predicate extraction, and is the one place either
+//! backend plans through.
 //!
-//! Entries are keyed by [`PlanKey`] — (query fingerprint, planner-knob
-//! fingerprint, index-catalog fingerprint) — so mutations invalidate by
-//! *changing the key* rather than by flushing: applying knobs or creating /
-//! dropping an index moves the respective fingerprint (see
+//! Session-local entries are keyed by [`PlanKey`] — (query fingerprint,
+//! planner-knob fingerprint, index-catalog fingerprint) — so mutations
+//! invalidate by *changing the key* rather than by flushing: applying knobs
+//! or creating / dropping an index moves the respective fingerprint (see
 //! `KnobSet::planner_fingerprint` and `IndexCatalog::fingerprint`, whose
 //! epoch bumps on every mutation), while returning to a previously seen
 //! configuration re-hits the old entries, which is exactly the selector's
 //! access pattern.
 //!
-//! Interior mutability (`Mutex` + atomics) keeps the read paths usable from
-//! `&self` methods (`explain`, what-if planning); `SimDb` is owned per
-//! benchmark thread, so the locks are uncontended in practice.
+//! Under fleet load many sessions tune against the same catalog with the
+//! same configurations, but each owns a private cache that starts cold. A
+//! process-wide **shared tier** therefore sits behind every session's plans
+//! for the current configuration: a local miss consults it before planning,
+//! and fresh plans are published back (counters `fleet.plan_shared_*`).
+//! Its key widens [`PlanKey`] by the catalog fingerprint and the statistics
+//! seed — two sessions with different seeds see different misestimation
+//! patterns and therefore different plans for the same query. What-if
+//! plans ([`PlanCache::plan_what_if`]) stay session-local.
+//!
+//! Interior mutability keeps the read paths usable from `&self` methods
+//! (`explain`, what-if planning).
 
+use crate::catalog::Catalog;
+use crate::db::query_tag;
+use crate::knobs::KnobSet;
+use crate::optimizer::Optimizer;
+use crate::physical::IndexCatalog;
 use crate::plan::Plan;
-use crate::stats::QueryPredicates;
-use lt_common::lru::{cap_from_env, LruMap};
-use lt_common::{obs, Fingerprint};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use crate::stats::{extract, QueryPredicates};
+use lt_common::lru::{Counters, Memo};
+use lt_common::Fingerprint;
+use lt_sql::ast::Query;
+use std::sync::{Arc, Mutex, OnceLock};
 
-/// Default bound on cached plans per `SimDb`; override with
-/// `LT_PLAN_CACHE_CAP`. Sized to hold every (query, configuration) pair a
-/// full benchmark-matrix selector run touches with room to spare.
-const DEFAULT_PLAN_CAP: usize = 65_536;
+/// Bound on cached plans (and predicate sets) per session. Sized to hold
+/// every (query, configuration) pair a full benchmark-matrix selector run
+/// touches with room to spare; under fleet load many sessions live in one
+/// process, so each still needs a ceiling.
+const PLAN_CAP: usize = 65_536;
+
+/// Bound on the process-wide shared plan tier.
+const SHARED_CAP: usize = 16_384;
 
 /// Cache key: the complete planning context of one query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,6 +62,32 @@ pub struct PlanKey {
     pub knobs: Fingerprint,
     /// `IndexCatalog::fingerprint()` of the index set planned against.
     pub indexes: Fingerprint,
+}
+
+/// Key of one shared plan: the session-local [`PlanKey`] widened by the
+/// facts that vary *between* sessions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct SharedKey {
+    /// `Catalog::fingerprint()` of the schema + statistics planned against.
+    catalog: Fingerprint,
+    /// Statistics seed: it perturbs the optimizer's estimates, so plans
+    /// are only shareable at equal seeds.
+    stats_seed: u64,
+    key: PlanKey,
+}
+
+fn shared_plans() -> &'static Memo<SharedKey, Arc<Plan>> {
+    static TIER: OnceLock<Memo<SharedKey, Arc<Plan>>> = OnceLock::new();
+    TIER.get_or_init(|| {
+        Memo::new(
+            SHARED_CAP,
+            Counters {
+                hit: "fleet.plan_shared_hit",
+                miss: "fleet.plan_shared_miss",
+                evict: "fleet.plan_shared_evict",
+            },
+        )
+    })
 }
 
 /// Hit/miss counters, snapshot via [`PlanCache::stats`].
@@ -66,167 +113,184 @@ impl CacheStats {
             self.plan_hits as f64 / total as f64
         }
     }
+
+    fn since(self, start: CacheStats) -> CacheStats {
+        CacheStats {
+            plan_hits: self.plan_hits - start.plan_hits,
+            plan_misses: self.plan_misses - start.plan_misses,
+            extract_hits: self.extract_hits - start.extract_hits,
+            extract_misses: self.extract_misses - start.extract_misses,
+        }
+    }
 }
 
 /// Memoizes planning and predicate extraction (see module docs).
 #[derive(Debug)]
 pub struct PlanCache {
-    /// `LT_PLAN_CACHE=0` (or `off`) disables memoization entirely — every
-    /// call plans from scratch and counts as a miss. Used to measure the
-    /// cache-less baseline with an otherwise identical binary.
-    enabled: bool,
-    /// Bounded LRU (`LT_PLAN_CACHE_CAP`): under fleet load many `SimDb`s
-    /// live in one process, so each per-session cache must have a ceiling.
-    plans: Mutex<LruMap<PlanKey, Arc<Plan>>>,
-    predicates: Mutex<LruMap<u64, Arc<QueryPredicates>>>,
-    plan_hits: AtomicU64,
-    plan_misses: AtomicU64,
-    extract_hits: AtomicU64,
-    extract_misses: AtomicU64,
-    /// Windowed counters: incremented alongside the cumulative ones,
-    /// zeroed by [`PlanCache::take_window`]. Drift detection needs a
-    /// *recent* hit rate — a collapse is invisible in cumulative counters
-    /// once they are large.
-    window: [AtomicU64; 4],
+    /// Fingerprint of the catalog this session plans against.
+    catalog_fp: Fingerprint,
+    /// Statistics seed of the session's execution model.
+    stats_seed: u64,
+    plans: Memo<PlanKey, Arc<Plan>>,
+    predicates: Memo<u64, Arc<QueryPredicates>>,
+    /// Cumulative counters when the current window began. Drift detection
+    /// needs a *recent* hit rate — a collapse is invisible in cumulative
+    /// counters once they are large.
+    window_start: Mutex<CacheStats>,
 }
-
-impl Default for PlanCache {
-    fn default() -> Self {
-        let enabled = !matches!(
-            std::env::var("LT_PLAN_CACHE").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        );
-        let cap = cap_from_env("LT_PLAN_CACHE_CAP", DEFAULT_PLAN_CAP);
-        PlanCache {
-            enabled,
-            plans: Mutex::new(LruMap::new(cap)),
-            predicates: Mutex::new(LruMap::new(cap)),
-            plan_hits: AtomicU64::new(0),
-            plan_misses: AtomicU64::new(0),
-            extract_hits: AtomicU64::new(0),
-            extract_misses: AtomicU64::new(0),
-            window: Default::default(),
-        }
-    }
-}
-
-/// Indices into [`PlanCache::window`].
-const W_PLAN_HIT: usize = 0;
-const W_PLAN_MISS: usize = 1;
-const W_EXTRACT_HIT: usize = 2;
-const W_EXTRACT_MISS: usize = 3;
 
 impl PlanCache {
-    /// Empty cache with zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
+    /// Empty cache for a session planning against the catalog
+    /// fingerprinted as `catalog_fp` with statistics seed `stats_seed`.
+    pub fn new(catalog_fp: Fingerprint, stats_seed: u64) -> Self {
+        Self::with_cap(catalog_fp, stats_seed, PLAN_CAP)
     }
 
-    /// Empty cache bounded to `cap` plans/predicate sets, ignoring the
-    /// environment knob. Used by tests that exercise eviction.
-    pub fn with_cap(cap: usize) -> Self {
+    /// [`PlanCache::new`] bounded to `cap` plans/predicate sets. Used by
+    /// tests that exercise eviction.
+    pub fn with_cap(catalog_fp: Fingerprint, stats_seed: u64, cap: usize) -> Self {
         PlanCache {
-            plans: Mutex::new(LruMap::new(cap)),
-            predicates: Mutex::new(LruMap::new(cap)),
-            ..Self::default()
+            catalog_fp,
+            stats_seed,
+            plans: Memo::new(
+                cap,
+                Counters {
+                    hit: "dbms.plan_cache.hit",
+                    miss: "dbms.plan_cache.miss",
+                    evict: "dbms.plan_cache.evict",
+                },
+            ),
+            predicates: Memo::new(
+                cap,
+                Counters {
+                    hit: "dbms.extract_cache.hit",
+                    miss: "dbms.extract_cache.miss",
+                    evict: "dbms.extract_cache.evict",
+                },
+            ),
+            window_start: Mutex::default(),
         }
     }
 
-    /// Returns the plan for `key`, planning via `plan_fn` on a miss.
-    pub fn plan_or_insert(&self, key: PlanKey, plan_fn: impl FnOnce() -> Plan) -> Arc<Plan> {
-        if !self.enabled {
-            self.plan_misses.fetch_add(1, Ordering::Relaxed);
-            self.window[W_PLAN_MISS].fetch_add(1, Ordering::Relaxed);
-            obs::counter("dbms.plan_cache.miss", 1);
-            return Arc::new(plan_fn());
-        }
-        if let Some(plan) = self.plans.lock().unwrap().get(&key) {
-            self.plan_hits.fetch_add(1, Ordering::Relaxed);
-            self.window[W_PLAN_HIT].fetch_add(1, Ordering::Relaxed);
-            obs::counter("dbms.plan_cache.hit", 1);
-            return Arc::clone(plan);
-        }
-        // Plan outside the lock: planning can be orders of magnitude more
-        // expensive than a map probe, and a poisoned lock on a planner panic
-        // would otherwise wedge every later query.
-        self.plan_misses.fetch_add(1, Ordering::Relaxed);
-        self.window[W_PLAN_MISS].fetch_add(1, Ordering::Relaxed);
-        obs::counter("dbms.plan_cache.miss", 1);
-        let plan = Arc::new(plan_fn());
-        let mut plans = self.plans.lock().unwrap();
-        if !plans.contains(&key) && plans.insert(key, Arc::clone(&plan)).is_some() {
-            obs::counter("dbms.plan_cache.evict", 1);
-        }
-        plan
+    /// Fingerprint of the catalog this cache plans against.
+    pub fn catalog_fingerprint(&self) -> Fingerprint {
+        self.catalog_fp
     }
 
-    /// Returns the extracted predicates for the query fingerprinted as
-    /// `query`, extracting via `extract_fn` on a miss. Extraction depends
-    /// only on the query and the (immutable) schema catalog, so the query
-    /// fingerprint alone keys it.
-    pub fn predicates_or_insert(
+    /// Extracted predicates of `query`. Extraction depends only on the
+    /// query and the (immutable) schema catalog, so the query fingerprint
+    /// alone keys the entry.
+    pub fn predicates(&self, catalog: &Catalog, query: &Query) -> Arc<QueryPredicates> {
+        self.predicates_of(query_tag(query), catalog, query)
+    }
+
+    fn predicates_of(&self, tag: u64, catalog: &Catalog, query: &Query) -> Arc<QueryPredicates> {
+        self.predicates
+            .get_or_insert_with(tag, || Arc::new(extract(query, catalog)))
+    }
+
+    /// Plans `query` (fingerprinted as `tag`, see
+    /// [`query_tag`](crate::db::query_tag)) under the target's *current*
+    /// `knobs` and `indexes`, through the session cache and then the shared
+    /// tier. `knobs_fp` is `knobs.planner_fingerprint()`, which targets keep
+    /// precomputed so the hot execute path doesn't rehash the knob set.
+    ///
+    /// The index component of the key is the canonical fingerprint of the
+    /// indexes on *this query's tables* only: creating an index on an
+    /// unrelated table (the evaluator builds indexes lazily between tuning
+    /// rounds) leaves every other query's cached plan valid.
+    pub fn plan(
         &self,
-        query: u64,
-        extract_fn: impl FnOnce() -> QueryPredicates,
-    ) -> Arc<QueryPredicates> {
-        if !self.enabled {
-            self.extract_misses.fetch_add(1, Ordering::Relaxed);
-            self.window[W_EXTRACT_MISS].fetch_add(1, Ordering::Relaxed);
-            obs::counter("dbms.extract_cache.miss", 1);
-            return Arc::new(extract_fn());
-        }
-        if let Some(preds) = self.predicates.lock().unwrap().get(&query) {
-            self.extract_hits.fetch_add(1, Ordering::Relaxed);
-            self.window[W_EXTRACT_HIT].fetch_add(1, Ordering::Relaxed);
-            obs::counter("dbms.extract_cache.hit", 1);
-            return Arc::clone(preds);
-        }
-        self.extract_misses.fetch_add(1, Ordering::Relaxed);
-        self.window[W_EXTRACT_MISS].fetch_add(1, Ordering::Relaxed);
-        obs::counter("dbms.extract_cache.miss", 1);
-        let preds = Arc::new(extract_fn());
-        let mut predicates = self.predicates.lock().unwrap();
-        if !predicates.contains(&query) && predicates.insert(query, Arc::clone(&preds)).is_some() {
-            obs::counter("dbms.extract_cache.evict", 1);
-        }
-        preds
+        tag: u64,
+        query: &Query,
+        catalog: &Catalog,
+        knobs: &KnobSet,
+        knobs_fp: Fingerprint,
+        indexes: &IndexCatalog,
+    ) -> (Arc<QueryPredicates>, Arc<Plan>) {
+        let (preds, key) = self.key(tag, query, catalog, knobs_fp, indexes);
+        let plan = self.plans.get_or_insert_with(key, || {
+            let shared_key = SharedKey {
+                catalog: self.catalog_fp,
+                stats_seed: self.stats_seed,
+                key,
+            };
+            shared_plans().get_or_insert_with(shared_key, || {
+                Arc::new(
+                    Optimizer::new(catalog, knobs, indexes, self.stats_seed).plan_extracted(&preds),
+                )
+            })
+        });
+        (preds, plan)
+    }
+
+    /// Plans `query` as if `knobs` (fingerprinted as `knobs_fp`) and
+    /// `indexes` were in force — what-if planning, nothing is applied.
+    /// Memoized per session; never read from or published to the shared
+    /// tier.
+    pub fn plan_what_if(
+        &self,
+        query: &Query,
+        catalog: &Catalog,
+        knobs: &KnobSet,
+        knobs_fp: Fingerprint,
+        indexes: &IndexCatalog,
+    ) -> Plan {
+        let (preds, key) = self.key(query_tag(query), query, catalog, knobs_fp, indexes);
+        let plan = self.plans.get_or_insert_with(key, || {
+            Arc::new(
+                Optimizer::new(catalog, knobs, indexes, self.stats_seed).plan_extracted(&preds),
+            )
+        });
+        (*plan).clone()
+    }
+
+    /// The predicates of `query` and its session-local plan key.
+    fn key(
+        &self,
+        tag: u64,
+        query: &Query,
+        catalog: &Catalog,
+        knobs_fp: Fingerprint,
+        indexes: &IndexCatalog,
+    ) -> (Arc<QueryPredicates>, PlanKey) {
+        let preds = self.predicates_of(tag, catalog, query);
+        let key = PlanKey {
+            query: tag,
+            knobs: knobs_fp,
+            indexes: indexes.fingerprint_for_tables(&preds.tables),
+        };
+        (preds, key)
     }
 
     /// Snapshot of the hit/miss counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            plan_hits: self.plan_hits.load(Ordering::Relaxed),
-            plan_misses: self.plan_misses.load(Ordering::Relaxed),
-            extract_hits: self.extract_hits.load(Ordering::Relaxed),
-            extract_misses: self.extract_misses.load(Ordering::Relaxed),
+            plan_hits: self.plans.hits(),
+            plan_misses: self.plans.misses(),
+            extract_hits: self.predicates.hits(),
+            extract_misses: self.predicates.misses(),
         }
     }
 
-    /// Snapshot of the windowed counters accumulated since the last
-    /// [`PlanCache::take_window`] (or since construction).
+    /// Counters accumulated since the last [`PlanCache::take_window`] (or
+    /// since construction).
     pub fn window_stats(&self) -> CacheStats {
-        CacheStats {
-            plan_hits: self.window[W_PLAN_HIT].load(Ordering::Relaxed),
-            plan_misses: self.window[W_PLAN_MISS].load(Ordering::Relaxed),
-            extract_hits: self.window[W_EXTRACT_HIT].load(Ordering::Relaxed),
-            extract_misses: self.window[W_EXTRACT_MISS].load(Ordering::Relaxed),
-        }
+        let start = *self.window_start.lock().expect("window lock poisoned");
+        self.stats().since(start)
     }
 
-    /// Returns the windowed counters and resets them to zero, starting the
-    /// next window. The cumulative counters are unaffected.
+    /// Returns the windowed counters and starts the next window. The
+    /// cumulative counters are unaffected.
     pub fn take_window(&self) -> CacheStats {
-        CacheStats {
-            plan_hits: self.window[W_PLAN_HIT].swap(0, Ordering::Relaxed),
-            plan_misses: self.window[W_PLAN_MISS].swap(0, Ordering::Relaxed),
-            extract_hits: self.window[W_EXTRACT_HIT].swap(0, Ordering::Relaxed),
-            extract_misses: self.window[W_EXTRACT_MISS].swap(0, Ordering::Relaxed),
-        }
+        let mut start = self.window_start.lock().expect("window lock poisoned");
+        let now = self.stats();
+        now.since(std::mem::replace(&mut *start, now))
     }
 
     /// Number of distinct plans currently cached.
     pub fn len(&self) -> usize {
-        self.plans.lock().unwrap().len()
+        self.plans.len()
     }
 
     /// True when no plan has been cached yet.
@@ -256,6 +320,24 @@ mod tests {
         }
     }
 
+    fn plan_or_insert(
+        cache: &PlanCache,
+        key: PlanKey,
+        plan_fn: impl FnOnce() -> Plan,
+    ) -> Arc<Plan> {
+        cache.plans.get_or_insert_with(key, || Arc::new(plan_fn()))
+    }
+
+    fn predicates_or_insert(
+        cache: &PlanCache,
+        query: u64,
+        extract_fn: impl FnOnce() -> QueryPredicates,
+    ) -> Arc<QueryPredicates> {
+        cache
+            .predicates
+            .get_or_insert_with(query, || Arc::new(extract_fn()))
+    }
+
     fn key(q: u64, k: u64, i: u64) -> PlanKey {
         PlanKey {
             query: q,
@@ -266,9 +348,9 @@ mod tests {
 
     #[test]
     fn hit_returns_cached_plan_without_replanning() {
-        let cache = PlanCache::new();
-        let a = cache.plan_or_insert(key(1, 2, 3), || leaf(10.0));
-        let b = cache.plan_or_insert(key(1, 2, 3), || panic!("must not replan"));
+        let cache = PlanCache::new(Fingerprint(0), 0);
+        let a = plan_or_insert(&cache, key(1, 2, 3), || leaf(10.0));
+        let b = plan_or_insert(&cache, key(1, 2, 3), || panic!("must not replan"));
         assert!(Arc::ptr_eq(&a, &b));
         let s = cache.stats();
         assert_eq!((s.plan_hits, s.plan_misses), (1, 1));
@@ -277,20 +359,20 @@ mod tests {
 
     #[test]
     fn any_key_component_change_is_a_miss() {
-        let cache = PlanCache::new();
-        cache.plan_or_insert(key(1, 2, 3), || leaf(1.0));
-        cache.plan_or_insert(key(9, 2, 3), || leaf(2.0));
-        cache.plan_or_insert(key(1, 9, 3), || leaf(3.0));
-        cache.plan_or_insert(key(1, 2, 9), || leaf(4.0));
+        let cache = PlanCache::new(Fingerprint(0), 0);
+        plan_or_insert(&cache, key(1, 2, 3), || leaf(1.0));
+        plan_or_insert(&cache, key(9, 2, 3), || leaf(2.0));
+        plan_or_insert(&cache, key(1, 9, 3), || leaf(3.0));
+        plan_or_insert(&cache, key(1, 2, 9), || leaf(4.0));
         assert_eq!(cache.stats().plan_misses, 4);
         assert_eq!(cache.len(), 4);
     }
 
     #[test]
     fn predicate_extraction_is_memoized_per_query() {
-        let cache = PlanCache::new();
-        let a = cache.predicates_or_insert(7, QueryPredicates::default);
-        let b = cache.predicates_or_insert(7, || panic!("must not re-extract"));
+        let cache = PlanCache::new(Fingerprint(0), 0);
+        let a = predicates_or_insert(&cache, 7, QueryPredicates::default);
+        let b = predicates_or_insert(&cache, 7, || panic!("must not re-extract"));
         assert!(Arc::ptr_eq(&a, &b));
         let s = cache.stats();
         assert_eq!((s.extract_hits, s.extract_misses), (1, 1));
@@ -298,10 +380,10 @@ mod tests {
 
     #[test]
     fn take_window_resets_window_but_not_cumulative() {
-        let cache = PlanCache::new();
-        cache.plan_or_insert(key(1, 2, 3), || leaf(1.0));
-        cache.plan_or_insert(key(1, 2, 3), || leaf(1.0));
-        cache.predicates_or_insert(7, QueryPredicates::default);
+        let cache = PlanCache::new(Fingerprint(0), 0);
+        plan_or_insert(&cache, key(1, 2, 3), || leaf(1.0));
+        plan_or_insert(&cache, key(1, 2, 3), || leaf(1.0));
+        predicates_or_insert(&cache, 7, QueryPredicates::default);
         let w = cache.take_window();
         assert_eq!((w.plan_hits, w.plan_misses), (1, 1));
         assert_eq!((w.extract_hits, w.extract_misses), (0, 1));
@@ -310,26 +392,45 @@ mod tests {
         assert_eq!(cache.stats().plan_hits, 1);
         assert_eq!(cache.stats().plan_misses, 1);
         // A hit in the next window shows up in both views again.
-        cache.plan_or_insert(key(1, 2, 3), || panic!("must not replan"));
+        plan_or_insert(&cache, key(1, 2, 3), || panic!("must not replan"));
         assert_eq!(cache.window_stats().plan_hits, 1);
         assert_eq!(cache.stats().plan_hits, 2);
     }
 
     #[test]
     fn cap_bounds_cached_plans_and_evicts_coldest() {
-        let cache = PlanCache::with_cap(2);
-        cache.plan_or_insert(key(1, 0, 0), || leaf(1.0));
-        cache.plan_or_insert(key(2, 0, 0), || leaf(2.0));
-        cache.plan_or_insert(key(1, 0, 0), || panic!("must not replan")); // refresh 1
-        cache.plan_or_insert(key(3, 0, 0), || leaf(3.0)); // evicts 2
+        let cache = PlanCache::with_cap(Fingerprint(0), 0, 2);
+        plan_or_insert(&cache, key(1, 0, 0), || leaf(1.0));
+        plan_or_insert(&cache, key(2, 0, 0), || leaf(2.0));
+        plan_or_insert(&cache, key(1, 0, 0), || panic!("must not replan")); // refresh 1
+        plan_or_insert(&cache, key(3, 0, 0), || leaf(3.0)); // evicts 2
         assert_eq!(cache.len(), 2);
-        cache.plan_or_insert(key(2, 0, 0), || leaf(2.0)); // re-planned: was evicted
+        plan_or_insert(&cache, key(2, 0, 0), || leaf(2.0)); // re-planned: was evicted
         assert_eq!(cache.stats().plan_misses, 4);
     }
 
     #[test]
+    fn publish_then_lookup_round_trips() {
+        let shared = shared_plans();
+        let skey = |catalog: u64, stats_seed: u64| SharedKey {
+            catalog: Fingerprint(catalog),
+            stats_seed,
+            key: key(99, 1, 2),
+        };
+        assert!(shared.get(&skey(0xFEE7, 1)).is_none());
+        let p = Arc::new(leaf(5.0));
+        assert!(shared.insert(skey(0xFEE7, 1), Arc::clone(&p)));
+        let hit = shared.get(&skey(0xFEE7, 1)).expect("published plan");
+        assert!(Arc::ptr_eq(&hit, &p));
+        // A different stats seed is a different plan identity.
+        assert!(shared.get(&skey(0xFEE7, 2)).is_none());
+        // As is a different catalog.
+        assert!(shared.get(&skey(0xBEEF, 1)).is_none());
+    }
+
+    #[test]
     fn empty_cache_reports_zero_rate() {
-        let cache = PlanCache::new();
+        let cache = PlanCache::new(Fingerprint(0), 0);
         assert_eq!(cache.stats().plan_hit_rate(), 0.0);
         assert!(cache.is_empty());
     }

@@ -2,8 +2,8 @@
 //! always identical to what planning from scratch would produce, and knob
 //! or index mutations must never serve a stale plan.
 
-use lt_common::secs;
-use lt_dbms::{Catalog, Configuration, Dbms, Hardware, IndexSpec, SimDb};
+use lt_common::{derive_seed, secs};
+use lt_dbms::{Catalog, Configuration, Dbms, Hardware, IndexSpec, Optimizer, SimDb};
 use lt_sql::parse_query;
 
 fn catalog() -> Catalog {
@@ -26,8 +26,9 @@ fn db() -> SimDb {
 
 const JOIN: &str = "select * from t_big, t_small where bfk = sk and bv < 10";
 
-/// Planning twice returns the identical plan, and a fresh cache-less
-/// database agrees — the cache only changes *when* planning happens.
+/// Planning twice returns the identical plan, and both a fresh database
+/// and the optimizer called directly, past every cache tier, agree — the
+/// caches only change *when* planning happens.
 #[test]
 fn cached_plan_equals_fresh_plan() {
     let cached = db();
@@ -41,6 +42,18 @@ fn cached_plan_equals_fresh_plan() {
 
     let fresh = db().explain(&q);
     assert_eq!(first, fresh);
+
+    // `SimDb::new` derives the optimizer's statistics seed as
+    // `derive_seed(seed, 1)`.
+    let stats_seed = derive_seed(3, 1);
+    let uncached = Optimizer::new(
+        cached.catalog(),
+        cached.knobs(),
+        cached.indexes(),
+        stats_seed,
+    )
+    .plan(&q);
+    assert_eq!(first, uncached);
 }
 
 /// Applying knobs that change optimizer behaviour re-plans instead of

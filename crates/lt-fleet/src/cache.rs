@@ -2,17 +2,17 @@
 
 use lambda_tune::selector::TrajectoryPoint;
 use lambda_tune::{LambdaTuneOptions, TuneResult};
-use lt_common::lru::{cap_from_env, LruMap};
+use lt_common::lru::{Counters, Memo};
 use lt_common::{hash_one, obs, Fingerprint, FxHasher, Secs};
 use lt_dbms::{Catalog, Configuration, Dbms, TuningTarget};
 use lt_drift::Profile;
 use lt_llm::LlmUsage;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
-/// Default bound on cached tuning sessions; override with `LT_FLEET_CAP`.
-const DEFAULT_FLEET_CAP: usize = 1024;
+/// Bound on the process-wide cache's tuning sessions.
+const GLOBAL_CAP: usize = 1024;
 
 /// Digest of every [`LambdaTuneOptions`] field. With `include_seed` the
 /// digest addresses one exact sampling run; without it, it identifies the
@@ -324,7 +324,7 @@ pub fn fleet_entry_from_json(doc: &lt_common::json::Value) -> Option<FleetEntry>
 /// The cross-session tuning cache (bounded LRU; see the crate docs).
 #[derive(Debug)]
 pub struct FleetCache {
-    entries: Mutex<LruMap<FleetKey, Arc<FleetEntry>>>,
+    entries: Memo<FleetKey, Arc<FleetEntry>>,
     enabled: AtomicBool,
 }
 
@@ -332,25 +332,22 @@ impl FleetCache {
     /// Cache bounded to `cap` sessions, enabled.
     pub fn new(cap: usize) -> FleetCache {
         FleetCache {
-            entries: Mutex::new(LruMap::new(cap)),
+            entries: Memo::new(
+                cap,
+                Counters {
+                    hit: "fleet.tune_hit",
+                    miss: "fleet.tune_miss",
+                    evict: "fleet.tune_evict",
+                },
+            ),
             enabled: AtomicBool::new(true),
         }
     }
 
-    /// The process-wide cache: bounded by `LT_FLEET_CAP`, enabled unless
-    /// `LT_FLEET=0` (or `off`/`false`) at first use.
+    /// The process-wide cache.
     pub fn global() -> &'static FleetCache {
         static GLOBAL: OnceLock<FleetCache> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let cache = FleetCache::new(cap_from_env("LT_FLEET_CAP", DEFAULT_FLEET_CAP));
-            if matches!(
-                std::env::var("LT_FLEET").as_deref(),
-                Ok("0") | Ok("off") | Ok("false")
-            ) {
-                cache.set_enabled(false);
-            }
-            cache
-        })
+        GLOBAL.get_or_init(|| FleetCache::new(GLOBAL_CAP))
     }
 
     /// Turns the cache on or off at runtime (benchmarks measure cold vs
@@ -367,12 +364,12 @@ impl FleetCache {
 
     /// Drops every entry (benchmark phase boundaries).
     pub fn clear(&self) {
-        self.entries.lock().unwrap().clear();
+        self.entries.clear();
     }
 
     /// Cached session count.
     pub fn len(&self) -> usize {
-        self.entries.lock().unwrap().len()
+        self.entries.len()
     }
 
     /// True when nothing is cached.
@@ -384,7 +381,7 @@ impl FleetCache {
     /// recency. The serving layer's prefetch planner peeks this way to
     /// decide which coalesced sessions still need samples.
     pub fn contains(&self, key: &FleetKey) -> bool {
-        self.is_enabled() && self.entries.lock().unwrap().contains(key)
+        self.is_enabled() && self.entries.contains(key)
     }
 
     /// Exact lookup. Counts `fleet.tune_hit` / `fleet.tune_miss` (nothing
@@ -393,30 +390,14 @@ impl FleetCache {
         if !self.is_enabled() {
             return None;
         }
-        match self.entries.lock().unwrap().get(key) {
-            Some(entry) => {
-                obs::counter("fleet.tune_hit", 1);
-                Some(Arc::clone(entry))
-            }
-            None => {
-                obs::counter("fleet.tune_miss", 1);
-                None
-            }
-        }
+        self.entries.get(key)
     }
 
     /// Publishes a finished cold run. Counts `fleet.tune_insert`, and
     /// `fleet.tune_evict` when it displaced the coldest entry.
     pub fn insert(&self, key: FleetKey, entry: FleetEntry) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut entries = self.entries.lock().unwrap();
-        if !entries.contains(&key) {
+        if self.is_enabled() && self.entries.insert(key, Arc::new(entry)) {
             obs::counter("fleet.tune_insert", 1);
-            if entries.insert(key, Arc::new(entry)).is_some() {
-                obs::counter("fleet.tune_evict", 1);
-            }
         }
     }
 
@@ -436,10 +417,9 @@ impl FleetCache {
         if !self.is_enabled() {
             return None;
         }
-        let entries = self.entries.lock().unwrap();
         let mut best: Option<(f64, (u64, u64), Arc<FleetEntry>)> = None;
-        for (k, entry) in entries.iter() {
-            if !key.transferable_from(k) || k.profile == key.profile {
+        for (k, entry) in self.entries.entries() {
+            if !key.transferable_from(&k) || k.profile == key.profile {
                 continue;
             }
             let d = profile.jensen_shannon(&entry.profile);
@@ -452,7 +432,7 @@ impl FleetCache {
                 Some((bd, border, _)) => d < *bd || (d == *bd && order < *border),
             };
             if closer {
-                best = Some((d, order, Arc::clone(entry)));
+                best = Some((d, order, entry));
             }
         }
         best.map(|(d, _, e)| (d, e))

@@ -23,10 +23,11 @@
 //!   back into the exact cache (they are schedule-dependent bargains, not
 //!   canonical cold-run results).
 //!
-//! Knobs: `LT_FLEET=0` disables the global cache, `LT_FLEET_CAP` bounds it,
-//! `LT_FLEET_JSD` sets the transfer distance threshold, and
-//! `LT_FLEET_TRANSFER=0` disables transfer in the serving layer. Everything
-//! is observable through `fleet.*` counters.
+//! Transfer is opt-in per call ([`fleet_tune`]'s `transfer` argument); the
+//! serving layer only replays exact hits. The process-wide cache has a
+//! fixed capacity and no environment knobs ([`FleetCache::set_enabled`]
+//! switches it at run time). Everything is observable through `fleet.*`
+//! counters.
 
 pub mod cache;
 pub mod tune;

@@ -20,23 +20,17 @@ pub struct TransferOptions {
     pub budget_fraction: f64,
 }
 
+/// Default transfer distance threshold — between the intra-benchmark drift
+/// distances lt-drift reacts to and the ≈1.0 of cross-benchmark pairs.
+const JSD_THRESHOLD: f64 = 0.35;
+
 impl Default for TransferOptions {
     fn default() -> Self {
         TransferOptions {
-            max_distance: jsd_threshold(),
+            max_distance: JSD_THRESHOLD,
             budget_fraction: 0.5,
         }
     }
-}
-
-/// Transfer distance threshold: `LT_FLEET_JSD`, default 0.35 — between the
-/// intra-benchmark drift distances lt-drift reacts to and the ≈1.0 of
-/// cross-benchmark pairs.
-pub fn jsd_threshold() -> f64 {
-    std::env::var("LT_FLEET_JSD")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.35)
 }
 
 /// How a [`fleet_tune`] call was served.

@@ -19,14 +19,14 @@
 
 use crate::session::{ServingState, SessionHandle, SessionState, TuneRequest};
 use crate::wal::SessionRecord;
-use lambda_tune::{LambdaTune, SampleCache, WarmStart};
+use lambda_tune::{LambdaTune, SampleCache};
 use lt_common::{derive_seed, obs, LtError, Secs};
 use lt_dbms::{Configuration, TuningTarget};
 use lt_drift::{
-    delta_prompt, retune, warm_options, DriftMonitor, LabeledProfile, Profile, RetuneOptions,
-    TuneMemory, WorkloadDelta,
+    delta_prompt, retune, DriftMonitor, LabeledProfile, Profile, RetuneOptions, TuneMemory,
+    WorkloadDelta,
 };
-use lt_fleet::{FleetCache, FleetEntry, FleetKey, TransferOptions};
+use lt_fleet::{FleetCache, FleetEntry, FleetKey};
 use lt_llm::{LlmClient, SimulatedLlm};
 use lt_workloads::Workload;
 use std::collections::{BTreeMap, VecDeque};
@@ -487,17 +487,6 @@ fn run_session_with(session: &SessionHandle, samples: Option<Arc<SampleCache>>) 
     session.notify_change();
 }
 
-/// True when near-miss warm-start transfer is live in the serving layer
-/// (`LT_FLEET_TRANSFER=1`). Off by default: a transferred result depends on
-/// what the cache happens to hold, i.e. on scheduling — enabling it trades
-/// the byte-for-byte replay guarantee for cheaper near-miss sessions.
-fn transfer_enabled() -> bool {
-    matches!(
-        std::env::var("LT_FLEET_TRANSFER").as_deref(),
-        Ok("1") | Ok("on") | Ok("true")
-    )
-}
-
 /// The fallible part of a session: builds the per-session database, applies
 /// any initial configuration, consults the fleet tuning cache, and — on a
 /// miss — measures the default workload time and runs the pipeline (an
@@ -561,40 +550,14 @@ fn tune_session(
     let result = match cached {
         Some(entry) => entry.to_result(db.as_ref()),
         None => {
-            // Near-miss transfer (opt-in): warm-start from the nearest
-            // cached neighbour's prompt and winner at half the budget.
-            // Transferred runs are never published — they are not what a
-            // cold run with this key would have produced.
-            let transferred = if transfer_enabled() {
-                let t = TransferOptions::default();
-                fleet
-                    .nearest(&key, &profile, t.max_distance)
-                    .map(|(_, neighbour)| {
-                        obs::counter("fleet.transfer", 1);
-                        let warm = WarmStart {
-                            prompt: Some(neighbour.prompt.clone()),
-                            seed_scripts: neighbour
-                                .best_script()
-                                .map(str::to_string)
-                                .into_iter()
-                                .collect(),
-                        };
-                        LambdaTune::new(warm_options(&request.options, t.budget_fraction, None))
-                            .with_warm_start(warm)
-                    })
-            } else {
-                None
-            };
-            let publish = transferred.is_none();
-            let mut tuner = transferred
-                .unwrap_or_else(|| LambdaTune::new(request.options))
+            let mut tuner = LambdaTune::new(request.options)
                 .with_observer(std::sync::Arc::new(session.observer()));
             if let Some(cache) = samples {
                 tuner = tuner.with_samples(cache);
             }
             let llm = LlmClient::new(SimulatedLlm::new());
             let result = tuner.tune(db.as_mut(), &workload, &llm)?;
-            if publish && !result.cancelled {
+            if !result.cancelled {
                 let entry = FleetEntry::from_result(
                     &result,
                     request.dbms,

@@ -4,8 +4,9 @@
 //!
 //! `StoreDb` *plans* exactly like [`lt_dbms::SimDb`]: same full-scale
 //! catalog, same optimizer, same statistics seed (`derive_seed(seed, 1)`),
-//! same plan/predicate caches (including the process-wide shared plan
-//! tier). Prompts, snippet extraction and fleet-cache keys are therefore
+//! and the same planning path ([`PlanCache`], including the process-wide
+//! shared plan tier, so a plan one backend computed serves the other).
+//! Prompts, snippet extraction and fleet-cache keys are therefore
 //! identical across backends — only the *cost* of executing a plan
 //! changes, from modelled to measured.
 //!
@@ -45,12 +46,11 @@ use crate::heap::{write_value, Heap, Schema};
 use crate::page::PAGE_SIZE;
 use lt_common::{derive_seed, obs, secs, IndexId, Secs, TableId, VirtualClock};
 use lt_dbms::db::query_tag;
-use lt_dbms::global_cache::{self, GlobalPlanKey};
 use lt_dbms::plan::Plan;
-use lt_dbms::stats::{extract, Estimator, QueryPredicates};
+use lt_dbms::stats::{Estimator, QueryPredicates};
 use lt_dbms::{
     CacheStats, Catalog, Configuration, Dbms, ExecutionModel, Hardware, IndexCatalog, IndexSpec,
-    KnobSet, Optimizer, PlanCache, PlanKey, TuningTarget,
+    KnobSet, PlanCache, TuningTarget,
 };
 use lt_sql::ast::Query;
 use std::collections::BTreeMap;
@@ -78,7 +78,6 @@ pub struct StoreDb {
     queries_completed: u64,
     plan_cache: PlanCache,
     planner_fp: lt_common::Fingerprint,
-    catalog_fp: lt_common::Fingerprint,
     // ---- physical state ----
     scale: f64,
     dir: PathBuf,
@@ -100,7 +99,8 @@ impl StoreDb {
     pub fn new(dbms: Dbms, catalog: Catalog, hardware: Hardware, seed: u64) -> Self {
         let knobs = KnobSet::defaults(dbms);
         let planner_fp = knobs.planner_fingerprint();
-        let catalog_fp = catalog.fingerprint();
+        let model = ExecutionModel::new(derive_seed(seed, 1), derive_seed(seed, 2));
+        let plan_cache = PlanCache::new(catalog.fingerprint(), model.stats_seed);
         let scale = scale_from_env();
         let (dir, owns_dir) = store_dir();
         std::fs::create_dir_all(&dir).expect("create store dir");
@@ -124,12 +124,11 @@ impl StoreDb {
             knobs,
             indexes: IndexCatalog::new(),
             clock: VirtualClock::new(),
-            model: ExecutionModel::new(derive_seed(seed, 1), derive_seed(seed, 2)),
+            model,
             queries_executed: 0,
             queries_completed: 0,
-            plan_cache: PlanCache::new(),
+            plan_cache,
             planner_fp,
-            catalog_fp,
             scale,
             dir,
             owns_dir,
@@ -174,39 +173,16 @@ impl StoreDb {
         self.planner_fp = self.knobs.planner_fingerprint();
     }
 
-    fn predicates_cached(&self, tag: u64, query: &Query) -> Arc<QueryPredicates> {
-        self.plan_cache
-            .predicates_or_insert(tag, || extract(query, &self.catalog))
-    }
-
-    /// Identical cache discipline to `SimDb::plan_cached`, including the
-    /// process-wide shared tier: both backends plan on the same catalog and
-    /// stats seed, so they *share* global plan entries.
-    fn plan_cached(&self, tag: u64, preds: &QueryPredicates) -> Arc<Plan> {
-        let key = PlanKey {
-            query: tag,
-            knobs: self.planner_fp,
-            indexes: self.indexes.fingerprint_for_tables(&preds.tables),
-        };
-        let global_key = GlobalPlanKey {
-            catalog: self.catalog_fp,
-            stats_seed: self.model.stats_seed,
-            key,
-        };
-        self.plan_cache.plan_or_insert(key, || {
-            if let Some(shared) = global_cache::lookup(&global_key) {
-                return (*shared).clone();
-            }
-            let plan = Optimizer::new(
-                &self.catalog,
-                &self.knobs,
-                &self.indexes,
-                self.model.stats_seed,
-            )
-            .plan_extracted(preds);
-            global_cache::publish(global_key, Arc::new(plan.clone()));
-            plan
-        })
+    /// Plans under the *current* knobs and indexes; see [`PlanCache::plan`].
+    fn plan_current(&self, query: &Query) -> (Arc<QueryPredicates>, Arc<Plan>) {
+        self.plan_cache.plan(
+            query_tag(query),
+            query,
+            &self.catalog,
+            &self.knobs,
+            self.planner_fp,
+            &self.indexes,
+        )
     }
 
     /// Runs the plan physically; returns (completed, proxy seconds).
@@ -262,7 +238,7 @@ impl TuningTarget for StoreDb {
         &self.indexes
     }
     fn catalog_fingerprint(&self) -> lt_common::Fingerprint {
-        self.catalog_fp
+        self.plan_cache.catalog_fingerprint()
     }
     fn now(&self) -> Secs {
         self.clock.now()
@@ -386,9 +362,7 @@ impl TuningTarget for StoreDb {
     }
 
     fn execute(&mut self, query: &Query, timeout: Secs) -> QueryOutcome {
-        let tag = query_tag(query);
-        let preds = self.predicates_cached(tag, query);
-        let plan = self.plan_cached(tag, &preds);
+        let (preds, plan) = self.plan_current(query);
         let (completed, proxy) = self.run_plan(&plan, &preds, timeout);
         self.queries_executed += 1;
         obs::counter("dbms.query_exec", 1);
@@ -411,44 +385,23 @@ impl TuningTarget for StoreDb {
     }
 
     fn explain(&self, query: &Query) -> Plan {
-        let tag = query_tag(query);
-        let preds = self.predicates_cached(tag, query);
-        (*self.plan_cached(tag, &preds)).clone()
+        (*self.plan_current(query).1).clone()
     }
 
     fn explain_with_indexes(&self, query: &Query, hypothetical: &IndexCatalog) -> Plan {
-        let tag = query_tag(query);
-        let preds = self.predicates_cached(tag, query);
-        let key = PlanKey {
-            query: tag,
-            knobs: self.planner_fp,
-            indexes: hypothetical.fingerprint_for_tables(&preds.tables),
-        };
-        let plan = self.plan_cache.plan_or_insert(key, || {
-            Optimizer::new(
-                &self.catalog,
-                &self.knobs,
-                hypothetical,
-                self.model.stats_seed,
-            )
-            .plan_extracted(&preds)
-        });
-        (*plan).clone()
+        self.plan_cache.plan_what_if(
+            query,
+            &self.catalog,
+            &self.knobs,
+            self.planner_fp,
+            hypothetical,
+        )
     }
 
     fn explain_with_knobs(&self, query: &Query, knobs: &KnobSet) -> Plan {
-        let tag = query_tag(query);
-        let preds = self.predicates_cached(tag, query);
-        let key = PlanKey {
-            query: tag,
-            knobs: knobs.planner_fingerprint(),
-            indexes: self.indexes.fingerprint_for_tables(&preds.tables),
-        };
-        let plan = self.plan_cache.plan_or_insert(key, || {
-            Optimizer::new(&self.catalog, knobs, &self.indexes, self.model.stats_seed)
-                .plan_extracted(&preds)
-        });
-        (*plan).clone()
+        let knobs_fp = knobs.planner_fingerprint();
+        self.plan_cache
+            .plan_what_if(query, &self.catalog, knobs, knobs_fp, &self.indexes)
     }
 
     fn explain_analyze(&mut self, query: &Query) -> (String, QueryOutcome) {
@@ -468,7 +421,7 @@ impl TuningTarget for StoreDb {
     }
 
     fn predicates(&self, query: &Query) -> Arc<QueryPredicates> {
-        self.predicates_cached(query_tag(query), query)
+        self.plan_cache.predicates(&self.catalog, query)
     }
 
     fn cache_stats(&self) -> CacheStats {
