@@ -13,7 +13,7 @@
 //! * `--benchmark tpch|tpch10|tpcds|job` (default `tpch`)
 //! * `--dbms postgres|mysql` (default `postgres`)
 //! * `--backend sim|store` tuning target: the virtual-time simulator or the
-//!   lt-store physical engine (default `sim`, or `LT_BACKEND` if set)
+//!   lt-store physical engine (default `sim`)
 //! * `--samples <k>` LLM samples (default 5)
 //! * `--temperature <t>` (default 0.7)
 //! * `--token-budget <n>` workload-description budget (default: fit)
@@ -43,13 +43,6 @@ impl Backend {
             "sim" | "simulator" => Ok(Backend::Sim),
             "store" | "lt-store" => Ok(Backend::Store),
             other => Err(format!("unknown backend {other} (sim|store)")),
-        }
-    }
-
-    fn from_env() -> Result<Backend, String> {
-        match std::env::var("LT_BACKEND") {
-            Ok(v) if !v.is_empty() => Backend::parse(&v),
-            _ => Ok(Backend::Sim),
         }
     }
 
@@ -105,7 +98,7 @@ impl Drop for TraceSession {
 fn parse_args() -> Result<Args, String> {
     let mut benchmark = Benchmark::TpchSf1;
     let mut dbms = Dbms::Postgres;
-    let mut backend = Backend::from_env()?;
+    let mut backend = Backend::Sim;
     let mut options = LambdaTuneOptions {
         seed: 42,
         ..Default::default()

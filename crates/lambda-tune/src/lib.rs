@@ -25,7 +25,6 @@ pub mod pipeline;
 pub mod progress;
 pub mod prompt;
 pub mod rag;
-pub mod samples;
 pub mod scheduler;
 pub mod selector;
 pub mod snippets;
@@ -36,7 +35,6 @@ pub use pipeline::{LambdaTune, LambdaTuneOptions, TuneResult, WarmStart};
 pub use progress::{CancelToken, ProgressEvent, TuneObserver};
 pub use prompt::PromptBuilder;
 pub use rag::{DocumentStore, Passage};
-pub use samples::SampleCache;
 pub use scheduler::{cluster_queries, expected_index_cost, find_optimal_order};
 pub use selector::{ConfigSelector, SelectorOptions, TrajectoryPoint};
 pub use snippets::{extract_snippets, Snippet};

@@ -157,10 +157,6 @@ pub struct LambdaTune {
     pub observer: Option<Arc<dyn TuneObserver>>,
     /// Optional warm-start material from a previous run; see [`WarmStart`].
     pub warm_start: Option<WarmStart>,
-    /// Optional shared sample cache (fleet batching): the sampling loop
-    /// consults it before calling the model and publishes fresh samples
-    /// back. See [`crate::samples::SampleCache`].
-    pub samples: Option<Arc<crate::samples::SampleCache>>,
     /// LLM sampling batch size: seeds are fetched in chunks of this size
     /// through [`LlmClient::complete_batch`], which charges the prompt once
     /// per chunk instead of once per sample. `0`/`1` (the default) keeps
@@ -179,7 +175,6 @@ impl std::fmt::Debug for LambdaTune {
                 &self.observer.as_ref().map(|_| "<dyn TuneObserver>"),
             )
             .field("warm_start", &self.warm_start)
-            .field("samples", &self.samples.as_ref().map(|c| c.len()))
             .field("sample_batch", &self.sample_batch)
             .finish()
     }
@@ -216,12 +211,6 @@ impl LambdaTune {
         self
     }
 
-    /// Attaches a shared sample cache; see [`crate::samples::SampleCache`].
-    pub fn with_samples(mut self, samples: Arc<crate::samples::SampleCache>) -> Self {
-        self.samples = Some(samples);
-        self
-    }
-
     /// Sets the LLM sampling batch size (see the field docs).
     pub fn with_sample_batch(mut self, batch: usize) -> Self {
         self.sample_batch = batch;
@@ -230,9 +219,7 @@ impl LambdaTune {
 
     /// Builds the exact prompt [`tune`](Self::tune) sends for this session,
     /// plus the workload-token count it reports. Pure in (db state,
-    /// workload, options, warm start) and makes no LLM calls — exposed so a
-    /// serving layer can coalesce sessions sharing a prompt and prefetch
-    /// their samples in one batched call.
+    /// workload, options, warm start) and makes no LLM calls.
     pub fn build_prompt<D: TuningTarget + ?Sized, M: LanguageModel>(
         &self,
         db: &D,
@@ -349,13 +336,11 @@ impl LambdaTune {
             }
         }
         // Sampling is pure in (prompt, temperature, per-candidate seed), so
-        // neither the batch size nor a sample-cache hit can change which
-        // configurations come back — and the clock is charged `llm_latency`
-        // per candidate regardless of how the sample was obtained, so the
-        // selector's virtual timeline (and with it every trajectory point)
-        // is byte-identical across batch sizes and cache states too.
+        // the batch size cannot change which configurations come back — and
+        // the clock is charged `llm_latency` per candidate however the
+        // sample was fetched, so the selector's virtual timeline (and with
+        // it every trajectory point) is byte-identical across batch sizes.
         let batch = self.sample_batch.max(1);
-        let sample_cache = self.samples.as_deref();
         let mut prefetched: std::collections::HashMap<u64, String> =
             std::collections::HashMap::new();
         for i in configs.len()..opts.num_configs {
@@ -370,37 +355,13 @@ impl LambdaTune {
                 let chunk: Vec<u64> = (i..(i + batch).min(opts.num_configs))
                     .map(|j| derive_seed(opts.seed, j as u64))
                     .collect();
-                let missing: Vec<u64> = chunk
-                    .iter()
-                    .copied()
-                    .filter(|&s| {
-                        sample_cache
-                            .and_then(|c| c.get(&prompt, opts.temperature, s))
-                            .map(|r| prefetched.insert(s, r))
-                            .is_none()
-                    })
-                    .collect();
-                let fresh = llm.complete_batch(&prompt, opts.temperature, &missing)?;
-                for (s, response) in missing.into_iter().zip(fresh) {
-                    if let Some(c) = sample_cache {
-                        c.insert(&prompt, opts.temperature, s, response.clone());
-                    }
-                    prefetched.insert(s, response);
-                }
+                let fresh = llm.complete_batch(&prompt, opts.temperature, &chunk)?;
+                prefetched.extend(chunk.into_iter().zip(fresh));
             }
             let mut sample_span = obs::span_vt("tune.llm_sample", db.now());
             let response = match prefetched.remove(&seed) {
                 Some(response) => response,
-                None => match sample_cache.and_then(|c| c.get(&prompt, opts.temperature, seed)) {
-                    Some(response) => response,
-                    None => {
-                        let response = llm.complete(&prompt, opts.temperature, seed)?;
-                        if let Some(c) = sample_cache {
-                            c.insert(&prompt, opts.temperature, seed, response.clone());
-                        }
-                        response
-                    }
-                },
+                None => llm.complete(&prompt, opts.temperature, seed)?,
             };
             db.clock_advance(opts.llm_latency);
             sample_span.vt_end(db.now());
@@ -871,26 +832,6 @@ mod tests {
                 plain.llm_usage.completion_tokens
             );
         }
-    }
-
-    #[test]
-    fn shared_sample_cache_eliminates_repeat_llm_calls() {
-        let cache = Arc::new(crate::samples::SampleCache::with_cap(64));
-        let (mut db, w, llm) = setup();
-        let first = LambdaTune::default()
-            .with_samples(Arc::clone(&cache))
-            .tune(&mut db, &w, &llm)
-            .unwrap();
-        assert_eq!(first.llm_usage.calls, 5);
-        let (mut db2, _, llm2) = setup();
-        let second = LambdaTune::default()
-            .with_samples(Arc::clone(&cache))
-            .tune(&mut db2, &w, &llm2)
-            .unwrap();
-        assert_eq!(second.llm_usage.calls, 0, "all samples served from cache");
-        assert_eq!(first.best_index, second.best_index);
-        assert_eq!(first.best_time, second.best_time);
-        assert_eq!(first.trajectory, second.trajectory);
     }
 
     #[test]

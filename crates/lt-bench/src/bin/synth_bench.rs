@@ -20,8 +20,7 @@
 //! Writes `results/BENCH_synth.json` — the committed evidence for the
 //! bounds above. `--smoke` shrinks scenario counts and writes to
 //! `results/BENCH_synth.smoke.json` so a CI pass never clobbers the
-//! committed numbers. Scenario count: `LT_SYNTH_SCENARIOS` (default
-//! 1000; smoke runs 24).
+//! committed numbers. Scenario count: 1000 (smoke runs 24).
 //!
 //! Determinism: every scenario derives its spec and seed from the base
 //! seed and its index, scenarios run on [`parallel_map`] and are reduced
@@ -47,15 +46,6 @@ const QUALITY_BOUND: f64 = 1.05;
 /// Retune trial seeds — the same pinned set the detector property suite
 /// bounds per-seed (see lt-drift/tests/detector_prop.rs).
 const RETUNE_SEEDS: [u64; 3] = [42, 7, 1234];
-
-/// Scenario count: `LT_SYNTH_SCENARIOS`, default 1000 (24 under --smoke).
-fn scenario_count(smoke: bool) -> usize {
-    std::env::var("LT_SYNTH_SCENARIOS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(if smoke { 24 } else { 1000 })
-}
 
 /// The scenario grid: spec parameters sweep deterministically with the
 /// index, so scenario `i` is identical on every run and thread count.
@@ -116,7 +106,7 @@ fn stream_config() -> DriftConfig {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let seed = base_seed();
-    let scenarios = scenario_count(smoke);
+    let scenarios = if smoke { 24 } else { 1000 };
     let tune_legs = if smoke { 2 } else { 8 };
     let drift_legs = if smoke { 4 } else { 16 };
     let serve_feeds = if smoke { 3 } else { 6 };

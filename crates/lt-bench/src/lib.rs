@@ -21,7 +21,8 @@ use lt_baselines::{
     common::measure_workload, DbBert, Dexter, GpTuner, LambdaTuneBaseline, LlamaTune, ParamTree,
     Tuner, TunerRun, Udo,
 };
-use lt_common::{secs, Secs};
+pub use lt_common::env::base_seed;
+use lt_common::{env, secs, Secs};
 use lt_dbms::{Dbms, Hardware, IndexSpec, SimDb};
 use lt_workloads::{Benchmark, Workload};
 
@@ -240,24 +241,17 @@ pub fn probe_default_time(scenario: Scenario, seed: u64) -> (Secs, Secs) {
 
 /// Number of trials (paper: 3). Override with `LT_TRIALS`.
 pub fn trials() -> usize {
-    std::env::var("LT_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
+    env::get("LT_TRIALS", 3, |&n| n > 0)
 }
 
 /// Worker threads for the benchmark matrix. Defaults to the machine's
 /// available parallelism; override with `LT_BENCH_THREADS` (1 = sequential).
 pub fn bench_threads() -> usize {
-    std::env::var("LT_BENCH_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    env::opt("LT_BENCH_THREADS", &"available parallelism", |&n| n > 0).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Applies `f` to every item on a scoped thread pool of [`bench_threads`]
@@ -301,14 +295,6 @@ where
         .into_iter()
         .map(|m| m.into_inner().unwrap().expect("worker filled slot"))
         .collect()
-}
-
-/// Base seed. Override with `LT_SEED`.
-pub fn base_seed() -> u64 {
-    std::env::var("LT_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42)
 }
 
 /// Averages trajectories across trials onto a common time grid, returning

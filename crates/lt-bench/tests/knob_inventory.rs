@@ -2,6 +2,11 @@
 //! `"LT_…"` string literal under `crates/*/src` is listed there, and every
 //! knob listed there is still read by some crate. Deleted knobs cannot
 //! linger in the docs, and new knobs cannot go undocumented.
+//!
+//! Each row also names, in its `Set by` column, the repository files that
+//! set the knob (or says `deployment path`), and each named file must
+//! really set it. A knob nothing sets runs at one value everywhere, so it
+//! cannot come back unnoticed.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -84,6 +89,69 @@ fn every_knob_read_under_crates_is_in_the_design_inventory_and_back() {
     assert!(
         stale.is_empty(),
         "knobs in DESIGN.md's knob inventory that no crate reads any more: {stale:?}"
+    );
+}
+
+/// The cells of one markdown table row, trimmed.
+fn cells(row: &str) -> Vec<&str> {
+    row.trim()
+        .trim_matches('|')
+        .split('|')
+        .map(str::trim)
+        .collect()
+}
+
+/// `(knob, Set by cell)` for every row of the inventory table.
+fn set_by_rows(section: &str) -> Vec<(String, String)> {
+    let mut rows = section.lines().filter(|l| l.starts_with('|'));
+    let header = cells(rows.next().expect("the inventory has a table"));
+    let column = header
+        .iter()
+        .position(|c| *c == "Set by")
+        .expect("the inventory table has a `Set by` column");
+    rows.skip(1) // the `|---|` rule
+        .map(|row| {
+            let cells = cells(row);
+            let knob = cells[0].trim_matches('`').to_string();
+            (knob, cells.get(column).copied().unwrap_or("").to_string())
+        })
+        .collect()
+}
+
+#[test]
+fn every_knob_in_the_inventory_names_the_files_that_set_it() {
+    let root = repo_root();
+    let design = fs::read_to_string(root.join("DESIGN.md")).unwrap();
+    let rows = set_by_rows(inventory_section(&design));
+    assert!(!rows.is_empty(), "the inventory table has no rows");
+    for (knob, set_by) in rows {
+        assert!(!set_by.is_empty(), "{knob}: the `Set by` cell is empty");
+        if set_by == "deployment path" {
+            continue;
+        }
+        for file in set_by.split(',').map(|f| f.trim().trim_matches('`')) {
+            let text = fs::read_to_string(root.join(file))
+                .unwrap_or_else(|e| panic!("{knob}: `Set by` names {file:?}: {e}"));
+            // Set, not merely mentioned: a string literal handed to a
+            // child's environment, or a shell assignment.
+            assert!(
+                text.contains(&format!("\"{knob}\"")) || text.contains(&format!("{knob}=")),
+                "{knob}: {file} is listed under `Set by` but does not set it"
+            );
+        }
+    }
+}
+
+#[test]
+fn set_by_cells_are_read_from_their_column() {
+    let table = "intro\n| Knob | Set by | Effect |\n|---|---|---|\n\
+                 | `LT_A` | `ci.sh`, `x.rs` | a |\n| `LT_B` |  | b |\n";
+    assert_eq!(
+        set_by_rows(table),
+        [
+            ("LT_A".to_string(), "`ci.sh`, `x.rs`".to_string()),
+            ("LT_B".to_string(), String::new()),
+        ]
     );
 }
 

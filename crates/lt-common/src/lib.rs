@@ -6,6 +6,7 @@
 //! seconds while preserving every timeout/interrupt interaction the paper's
 //! algorithms rely on.
 
+pub mod env;
 pub mod error;
 pub mod hash;
 pub mod ids;

@@ -61,10 +61,7 @@ pub fn enabled() -> bool {
 
 #[cold]
 fn init_enabled() -> bool {
-    let on = matches!(
-        std::env::var("LT_TRACE").as_deref(),
-        Ok("1") | Ok("true") | Ok("on")
-    );
+    let on = crate::env::flag("LT_TRACE");
     ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
     on
 }

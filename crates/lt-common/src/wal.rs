@@ -24,8 +24,8 @@
 //! [`LogWriter::append`] batches fsyncs: the file is flushed + `fdatasync`'d
 //! every `sync_every` records (default 8, `LT_WAL_SYNC_EVERY`). Callers that
 //! just acknowledged something to a client call [`LogWriter::sync`]
-//! explicitly. `LT_WAL_SYNC=0` disables fsync entirely (for tests and
-//! tmpfs CI runners where durability is moot but replay logic still runs).
+//! explicitly. A writer opened with `sync: false` never fsyncs; lt-store's
+//! redo log opens its writer that way.
 //!
 //! # Crash injection
 //!
@@ -35,6 +35,7 @@
 //! middle of a frame write. The crash-injection harness enumerates kill
 //! points with these knobs; production never sets them.
 
+use crate::env;
 use crate::hash::crc32;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -49,7 +50,7 @@ pub const MAX_RECORD_BYTES: usize = 1 << 26;
 /// Durability and crash-injection knobs, normally read from the environment.
 #[derive(Debug, Clone)]
 pub struct WalOptions {
-    /// Whether to fsync at all (`LT_WAL_SYNC`, default on).
+    /// Whether to fsync at all (default on).
     pub sync: bool,
     /// Auto-fsync after this many appended records (`LT_WAL_SYNC_EVERY`).
     pub sync_every: u64,
@@ -70,26 +71,17 @@ impl Default for WalOptions {
     }
 }
 
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
 impl WalOptions {
-    /// Reads the `LT_WAL_*` knobs from the environment.
+    /// The defaults with the `LT_WAL_*` knobs from the environment applied.
     pub fn from_env() -> WalOptions {
-        let mut o = WalOptions::default();
-        if let Ok(v) = std::env::var("LT_WAL_SYNC") {
-            let v = v.trim();
-            o.sync =
-                !(v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false"));
+        let d = WalOptions::default();
+        let crash_at = env::opt("LT_WAL_CRASH_AT", &"none", |&n: &u64| n > 0);
+        WalOptions {
+            sync_every: env::get("LT_WAL_SYNC_EVERY", d.sync_every, |&n| n > 0),
+            crash_torn: crash_at.is_some() && env::flag("LT_WAL_CRASH_TORN"),
+            crash_at,
+            ..d
         }
-        if let Some(n) = env_u64("LT_WAL_SYNC_EVERY") {
-            o.sync_every = n.max(1);
-        }
-        o.crash_at = env_u64("LT_WAL_CRASH_AT").filter(|&n| n > 0);
-        o.crash_torn = std::env::var("LT_WAL_CRASH_AT").is_ok()
-            && env_u64("LT_WAL_CRASH_TORN").unwrap_or(0) == 1;
-        o
     }
 }
 

@@ -36,7 +36,6 @@ use crate::stats::{extract, Estimator, FilterKind, QueryPredicates};
 use lt_common::{obs, ColumnId, IndexId, TableId};
 use lt_sql::ast::Query;
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 /// DP ceiling of the pre-DPccp planner. Kept as (a) the `Legacy`
 /// enumerator's naive-DP cutoff and (b) the width above which `Auto` also
@@ -46,28 +45,17 @@ use std::sync::OnceLock;
 /// greedily.
 pub const LEGACY_DP_RELATION_LIMIT: usize = 13;
 
-/// Default maximum number of relations planned with exact DP. The original
-/// Join Order Benchmark's widest queries join 17 relations (our single-alias
+/// Maximum number of relations planned with exact DP. The original Join
+/// Order Benchmark's widest queries join 17 relations (our single-alias
 /// repro caps at 12), so every JOB query gets a full DP plan with headroom.
-/// Override with `LT_DP_LIMIT` (clamped to [1, 26]); beyond the limit the
-/// planner falls back to the greedy heuristic.
+/// Beyond the limit the planner falls back to the greedy heuristic;
+/// [`Optimizer::with_dp_limit`] overrides it per planner.
 pub const DEFAULT_DP_RELATION_LIMIT: usize = 17;
 
 /// Hard ceiling on dense-memo DP: the memo is `Vec`-indexed by bitmask, so
 /// memory is `32 bytes * 2^n`. 26 relations ⇒ 2 GiB would be absurd anyway;
-/// `LT_DP_LIMIT` is clamped here.
+/// [`Optimizer::with_dp_limit`] is clamped here.
 const DENSE_DP_MAX: usize = 26;
-
-fn env_dp_limit() -> usize {
-    static LIMIT: OnceLock<usize> = OnceLock::new();
-    *LIMIT.get_or_init(|| {
-        std::env::var("LT_DP_LIMIT")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(|v| v.clamp(1, DENSE_DP_MAX))
-            .unwrap_or(DEFAULT_DP_RELATION_LIMIT)
-    })
-}
 
 /// Join-enumeration strategy (see module docs). `Auto` is what production
 /// planning uses; the other variants exist for `planner_bench` and the
@@ -378,13 +366,13 @@ impl<'a> Optimizer<'a> {
             indexes,
             est,
             costs,
-            dp_limit: env_dp_limit(),
+            dp_limit: DEFAULT_DP_RELATION_LIMIT,
         }
     }
 
     /// Overrides the exact-DP relation limit for this planner instance
-    /// (tests and benchmarks; production planning reads `LT_DP_LIMIT` once
-    /// per process).
+    /// (tests and benchmarks; production planning uses
+    /// [`DEFAULT_DP_RELATION_LIMIT`]).
     pub fn with_dp_limit(mut self, limit: usize) -> Self {
         self.dp_limit = limit.clamp(1, DENSE_DP_MAX);
         self

@@ -8,8 +8,8 @@
 //! `lt-store`) can stand in for the simulator behind the same tuners.
 //!
 //! The trait is object-safe on purpose: `lt-serve` holds its per-session
-//! database as `Box<dyn TuningTarget + Send>` and picks the backend at
-//! request time (`LT_BACKEND` / `"backend"` in the request body).
+//! database as `Box<dyn TuningTarget + Send>` and picks the backend per
+//! request, from the `"backend"` field of the request body.
 //!
 //! The `SimDb` implementation is pure delegation to the inherent methods,
 //! so existing callers — and the bytes of every committed `results/*.json`

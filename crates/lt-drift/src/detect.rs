@@ -29,38 +29,33 @@ use crate::profile::{Profile, QueryObservation};
 use lt_common::{json, json::Value, obs};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Tuning knobs for the drift detectors, overridable via `LT_DRIFT_*`
-/// environment variables (see [`DriftConfig::from_env`]).
+/// Tuning knobs for the drift detectors. The serving layer starts from
+/// [`DriftConfig::default`] and lets a tune request's `"drift"` object
+/// override each field for its session.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriftConfig {
-    /// Sliding-window length in queries (`LT_DRIFT_WINDOW`).
+    /// Sliding-window length in queries.
     pub window: usize,
-    /// Evaluate the windowed detectors every `stride` queries
-    /// (`LT_DRIFT_STRIDE`).
+    /// Evaluate the windowed detectors every `stride` queries.
     pub stride: usize,
     /// Observations before any detector may fire; a monitor without a
-    /// preset reference also builds one from this prefix
-    /// (`LT_DRIFT_WARMUP`).
+    /// preset reference also builds one from this prefix.
     pub warmup: usize,
-    /// JSD alarm threshold in bits (`LT_DRIFT_JSD`).
+    /// JSD alarm threshold in bits.
     pub jsd_threshold: f64,
-    /// Consecutive over-threshold JSD evaluations required to fire
-    /// (`LT_DRIFT_CONFIRM`).
+    /// Consecutive over-threshold JSD evaluations required to fire.
     pub confirm: usize,
-    /// EWMA smoothing factor for the hit rate (`LT_DRIFT_EWMA_ALPHA`).
+    /// EWMA smoothing factor for the hit rate.
     pub ewma_alpha: f64,
-    /// Smoothed hit rate that arms the collapse detector
-    /// (`LT_DRIFT_HIT_ARM`).
+    /// Smoothed hit rate that arms the collapse detector.
     pub hit_arm: f64,
-    /// Smoothed hit rate that fires it once armed
-    /// (`LT_DRIFT_HIT_COLLAPSE`).
+    /// Smoothed hit rate that fires it once armed.
     pub hit_collapse: f64,
-    /// Page–Hinkley drift tolerance per observation (`LT_DRIFT_PH_DELTA`).
+    /// Page–Hinkley drift tolerance per observation.
     pub ph_delta: f64,
-    /// Page–Hinkley alarm threshold (`LT_DRIFT_PH_LAMBDA`).
+    /// Page–Hinkley alarm threshold.
     pub ph_lambda: f64,
-    /// Observations suppressed after an alarm before detectors re-arm
-    /// (`LT_DRIFT_COOLDOWN`).
+    /// Observations suppressed after an alarm before detectors re-arm.
     pub cooldown: usize,
 }
 
@@ -78,33 +73,6 @@ impl Default for DriftConfig {
             ph_delta: 0.05,
             ph_lambda: 6.0,
             cooldown: 256,
-        }
-    }
-}
-
-fn env_parse<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-impl DriftConfig {
-    /// Defaults overridden by any `LT_DRIFT_*` environment variables set.
-    pub fn from_env() -> DriftConfig {
-        let d = DriftConfig::default();
-        DriftConfig {
-            window: env_parse("LT_DRIFT_WINDOW", d.window).max(1),
-            stride: env_parse("LT_DRIFT_STRIDE", d.stride).max(1),
-            warmup: env_parse("LT_DRIFT_WARMUP", d.warmup),
-            jsd_threshold: env_parse("LT_DRIFT_JSD", d.jsd_threshold),
-            confirm: env_parse("LT_DRIFT_CONFIRM", d.confirm).max(1),
-            ewma_alpha: env_parse("LT_DRIFT_EWMA_ALPHA", d.ewma_alpha),
-            hit_arm: env_parse("LT_DRIFT_HIT_ARM", d.hit_arm),
-            hit_collapse: env_parse("LT_DRIFT_HIT_COLLAPSE", d.hit_collapse),
-            ph_delta: env_parse("LT_DRIFT_PH_DELTA", d.ph_delta),
-            ph_lambda: env_parse("LT_DRIFT_PH_LAMBDA", d.ph_lambda),
-            cooldown: env_parse("LT_DRIFT_COOLDOWN", d.cooldown),
         }
     }
 }
@@ -565,12 +533,5 @@ mod tests {
         assert_eq!(e1, e2);
         assert_eq!(s1, s2);
         assert!(!e1.is_empty());
-    }
-
-    #[test]
-    fn env_overrides_parse() {
-        // No env set: defaults come back.
-        let d = DriftConfig::from_env();
-        assert_eq!(d, DriftConfig::default());
     }
 }

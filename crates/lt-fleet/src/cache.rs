@@ -17,8 +17,7 @@ const GLOBAL_CAP: usize = 1024;
 /// Digest of every [`LambdaTuneOptions`] field. With `include_seed` the
 /// digest addresses one exact sampling run; without it, it identifies the
 /// *option group* — sessions differing only by seed share it, which is what
-/// both the warm-transfer neighbour filter and the serving layer's batch
-/// coalescing key on.
+/// the warm-transfer neighbour filter keys on.
 pub fn options_digest(opts: &LambdaTuneOptions, include_seed: bool) -> u64 {
     let mut h = FxHasher::new();
     h.write_u64(opts.num_configs as u64);
@@ -64,7 +63,7 @@ pub struct FleetKey {
     /// [`options_digest`] *with* the seed — the exact sampling run.
     pub options: u64,
     /// [`options_digest`] *without* the seed — the option group shared by
-    /// sibling tenants; keys near-miss transfer and batch coalescing.
+    /// sibling tenants; keys near-miss transfer.
     pub group: u64,
     /// Hash of the initial configuration script applied before tuning
     /// (`hash_one("")` when none).
@@ -375,13 +374,6 @@ impl FleetCache {
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// True when `key` is cached — without counting hit/miss or touching
-    /// recency. The serving layer's prefetch planner peeks this way to
-    /// decide which coalesced sessions still need samples.
-    pub fn contains(&self, key: &FleetKey) -> bool {
-        self.is_enabled() && self.entries.contains(key)
     }
 
     /// Exact lookup. Counts `fleet.tune_hit` / `fleet.tune_miss` (nothing

@@ -1,7 +1,7 @@
 //! The language-model interface and usage metering.
 
 use crate::tokenizer::count_tokens;
-use lt_common::{obs, Result};
+use lt_common::{env, obs, Result};
 use std::sync::Mutex;
 
 /// A text-completion model.
@@ -68,11 +68,7 @@ fn simulated_latency() -> std::time::Duration {
     use std::sync::OnceLock;
     static LATENCY: OnceLock<std::time::Duration> = OnceLock::new();
     *LATENCY.get_or_init(|| {
-        let ms = std::env::var("LT_LLM_LATENCY_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(0);
-        std::time::Duration::from_millis(ms)
+        std::time::Duration::from_millis(env::get("LT_LLM_LATENCY_MS", 0, |_| true))
     })
 }
 

@@ -33,7 +33,7 @@
 //! determinism gate diffs it across thread counts.
 
 use lt_common::json::{parse, Value};
-use lt_common::wal::read_log;
+use lt_common::wal::{read_log, WalOptions};
 use lt_common::{hash_one, json};
 use lt_fleet::FleetCache;
 use lt_serve::http::request;
@@ -618,7 +618,7 @@ fn main() {
         std::process::exit(2);
     }
     // The harness must never inherit crash injection itself.
-    if std::env::var_os("LT_WAL_CRASH_AT").is_some() {
+    if WalOptions::from_env().crash_at.is_some() {
         fail("unset LT_WAL_CRASH_AT before running crash-bench");
     }
     let plain_sessions = if smoke { 1 } else { 3 };

@@ -5,33 +5,41 @@
 //! lt-serve [--addr HOST:PORT] [--workers N] [--queue N] [--conns N]
 //!          [--wal-dir DIR] [--shard-id N]
 //! lt-serve --coordinator --shard ID=HOST:PORT [--shard ID=HOST:PORT ...]
-//!          [--addr HOST:PORT] [--conns N]
+//!          [--addr HOST:PORT] [--queue N] [--conns N]
 //! ```
 //!
-//! Server flags override the `LT_SERVE_ADDR` / `LT_SERVE_WORKERS` /
-//! `LT_SERVE_QUEUE` / `LT_SERVE_CONNS` / `LT_WAL_DIR` / `LT_SHARD_ID`
-//! environment variables, which override the defaults (127.0.0.1:7878,
-//! 2 workers, queue depth 64, 64 connections, no durability). With
-//! `--wal-dir` the daemon keeps a write-ahead session log in
-//! `DIR/sessions.wal` and recovers acknowledged sessions from it on
-//! startup. `--shard-id` gives the daemon a shard identity: `/shard/*`
-//! control routes and a labelled `/metrics`.
+//! Defaults: 127.0.0.1:7878 (the coordinator 127.0.0.1:7879), 2 workers,
+//! queue depth 64, 64 connections, no durability. `LT_SERVE_CONNS` sets
+//! the connection cap when `--conns` does not. With `--wal-dir` the
+//! daemon keeps a write-ahead session log in `DIR/sessions.wal` and
+//! recovers acknowledged sessions from it on startup. `--shard-id` gives
+//! the daemon a shard identity: `/shard/*` control routes and a labelled
+//! `/metrics`.
 //!
 //! With `--coordinator` the daemon instead fronts the listed shards:
 //! global admission (fleet-wide quotas answering 429 + `Retry-After`),
 //! consistent-hash routing of new sessions, per-session proxying, health
-//! probing and aggregated `/metrics`. Coordinator knobs come from
-//! `LT_SHARD_VNODES`, `LT_SHARD_PROBE_MS`, `LT_SERVE_TENANT_CAP` and
-//! `LT_SERVE_QUEUE` (see `CoordinatorConfig`). The connection limits —
-//! `--conns`/`LT_SERVE_CONNS`, `LT_SERVE_KEEPALIVE_MAX` and
-//! `LT_SERVE_IDLE_MS` — apply in both modes. Stop either mode with
-//! `POST /shutdown` or Ctrl-C.
+//! probing and aggregated `/metrics`. Its backlog cap is `--queue` × the
+//! shard count; `LT_SHARD_VNODES` and `LT_SHARD_PROBE_MS` set the ring's
+//! virtual nodes per shard and the probe period. The connection cap
+//! applies in both modes. Stop either mode with `POST /shutdown` or
+//! Ctrl-C.
 
+use lt_common::env;
 use lt_serve::{CoordinatorConfig, ServerConfig, ShardSpec};
 
 fn bad_usage(message: &str) -> ! {
     eprintln!("error: {message}");
     std::process::exit(2);
+}
+
+/// A flag's value as a positive integer; exits with usage status otherwise.
+fn positive(flag: &str, value: &str) -> usize {
+    value
+        .parse()
+        .ok()
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| bad_usage(&format!("{flag} must be a positive integer")))
 }
 
 fn parse_shard(spec: &str) -> ShardSpec {
@@ -51,11 +59,10 @@ fn run_coordinator(addr: Option<String>, shards: Vec<ShardSpec>, server: &Server
     if shards.is_empty() {
         bad_usage("--coordinator needs at least one --shard ID=HOST:PORT");
     }
-    let mut config = CoordinatorConfig::new(shards);
-    config.limits = server.limits();
-    config.addr = addr.unwrap_or_else(|| {
-        std::env::var("LT_SERVE_ADDR").unwrap_or_else(|_| "127.0.0.1:7879".to_string())
-    });
+    let mut config = CoordinatorConfig::new(shards, server);
+    config.addr = addr.unwrap_or_else(|| "127.0.0.1:7879".to_string());
+    config.vnodes = env::get("LT_SHARD_VNODES", config.vnodes, |&n| n > 0);
+    config.probe_ms = env::get("LT_SHARD_PROBE_MS", config.probe_ms, |&n| n > 0);
     let shard_count = config.shards.len();
     let mut coordinator = match lt_serve::start_coordinator(config.clone()) {
         Ok(handle) => handle,
@@ -77,14 +84,13 @@ fn run_coordinator(addr: Option<String>, shards: Vec<ShardSpec>, server: &Server
 }
 
 fn main() {
-    let mut config = ServerConfig::from_env();
-    if config.addr == "127.0.0.1:0" {
-        // The daemon wants a knowable default port; tests and the load
-        // generator (which construct ServerConfig directly) keep port 0.
-        config.addr = "127.0.0.1:7878".to_string();
-    }
+    let defaults = ServerConfig::default();
+    let mut config = ServerConfig {
+        max_connections: env::get("LT_SERVE_CONNS", defaults.max_connections, |&n| n > 0),
+        ..defaults
+    };
     let mut coordinator = false;
-    let mut coordinator_addr: Option<String> = None;
+    let mut addr: Option<String> = None;
     let mut shards: Vec<ShardSpec> = Vec::new();
 
     let mut args = std::env::args().skip(1);
@@ -96,26 +102,10 @@ fn main() {
         match arg.as_str() {
             "--coordinator" => coordinator = true,
             "--shard" => shards.push(parse_shard(&value("--shard"))),
-            "--addr" => {
-                let addr = value("--addr");
-                coordinator_addr = Some(addr.clone());
-                config.addr = addr;
-            }
-            "--workers" => {
-                config.workers = value("--workers")
-                    .parse()
-                    .unwrap_or_else(|_| bad_usage("--workers must be a positive integer"))
-            }
-            "--queue" => {
-                config.queue_depth = value("--queue")
-                    .parse()
-                    .unwrap_or_else(|_| bad_usage("--queue must be a positive integer"))
-            }
-            "--conns" => {
-                config.max_connections = value("--conns")
-                    .parse()
-                    .unwrap_or_else(|_| bad_usage("--conns must be a positive integer"))
-            }
+            "--addr" => addr = Some(value("--addr")),
+            "--workers" => config.workers = positive("--workers", &value("--workers")),
+            "--queue" => config.queue_depth = positive("--queue", &value("--queue")),
+            "--conns" => config.max_connections = positive("--conns", &value("--conns")),
             "--wal-dir" => config.wal_dir = Some(value("--wal-dir")),
             "--shard-id" => {
                 config.shard_id = Some(
@@ -129,7 +119,7 @@ fn main() {
                     "usage: lt-serve [--addr HOST:PORT] [--workers N] [--queue N] [--conns N] \
                      [--wal-dir DIR] [--shard-id N]\n\
                      \x20      lt-serve --coordinator --shard ID=HOST:PORT [--shard ...] \
-                     [--addr HOST:PORT] [--conns N]"
+                     [--addr HOST:PORT] [--queue N] [--conns N]"
                 );
                 return;
             }
@@ -138,12 +128,13 @@ fn main() {
     }
 
     if coordinator {
-        run_coordinator(coordinator_addr, shards, &config);
+        run_coordinator(addr, shards, &config);
         return;
     }
     if !shards.is_empty() {
         bad_usage("--shard only makes sense with --coordinator");
     }
+    config.addr = addr.unwrap_or_else(|| "127.0.0.1:7878".to_string());
 
     let mut server = match lt_serve::start(config.clone()) {
         Ok(server) => server,

@@ -16,19 +16,19 @@
 //!                                # results/serve_shard.smoke.json (CI)
 //! ```
 //!
-//! `LT_SERVE_SHARDS` is the env equivalent of `--shards`. The sharded
-//! bench fixes every shard at **one** pool worker and scales the shard
-//! count, with `LT_LLM_LATENCY_MS` (default 80 for the full bench)
-//! injecting the LLM-API round-trip the simulated model otherwise skips —
-//! that is the regime the paper's serving cost lives in, and the only
-//! honest way to show scale-out on a single-core CI box: throughput grows
-//! because shards overlap *waiting*, not because compute parallelises.
+//! The sharded bench fixes every shard at **one** pool worker and scales
+//! the shard count, with `LT_LLM_LATENCY_MS` (default 250 for the full
+//! bench) injecting the LLM-API round-trip the simulated model otherwise
+//! skips — that is the regime the paper's serving cost lives in, and the
+//! only honest way to show scale-out on a single-core CI box: throughput
+//! grows because shards overlap *waiting*, not because compute
+//! parallelises.
 //!
 //! Exit status is nonzero on any client failure, on a determinism
 //! mismatch, or (sharded bench) on a failed availability scenario.
 
-use lt_common::json;
 use lt_common::json::{parse, Value};
+use lt_common::{env, json};
 use lt_serve::fleet::Fleet;
 use lt_serve::load::{run_against, run_matrix, LoadOptions};
 use std::collections::BTreeMap;
@@ -387,9 +387,9 @@ fn shard_bench(max_shards: usize, clients: usize) {
     // regime on a small CI box: per-session *compute* is tens of
     // milliseconds and shares one core across every shard process, so a
     // too-small latency would measure CPU contention, not scale-out.
-    let latency_ms = std::env::var("LT_LLM_LATENCY_MS").unwrap_or_else(|_| "250".to_string());
+    let latency_ms: u64 = env::get("LT_LLM_LATENCY_MS", 250, |_| true);
     let envs = vec![
-        ("LT_LLM_LATENCY_MS".to_string(), latency_ms.clone()),
+        ("LT_LLM_LATENCY_MS".to_string(), latency_ms.to_string()),
         ("LT_SHARD_PROBE_MS".to_string(), "200".to_string()),
         // More virtual nodes tighten each shard's key-space share; at the
         // default 64 the ±12% share variance shows up directly as
@@ -498,7 +498,7 @@ fn shard_bench(max_shards: usize, clients: usize) {
             "base_seed": opts.base_seed as i64,
             "clients": clients,
             "workers_per_shard": 1,
-            "llm_latency_ms": latency_ms.parse::<i64>().unwrap_or(-1),
+            "llm_latency_ms": latency_ms,
             "scaling": Value::Array(scaling),
             "speedup_at_4_shards": speedup_at_4.unwrap_or(0.0),
             "deterministic_across_shard_counts": deterministic,
@@ -531,10 +531,7 @@ fn main() {
     let mut smoke_mode = false;
     let mut external_addr: Option<String> = None;
     let mut clients: Option<usize> = None;
-    let mut shards: Option<usize> = std::env::var("LT_SERVE_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&v| v > 0);
+    let mut shards: Option<usize> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {

@@ -38,7 +38,8 @@
 
 use crate::http::{self, request_with, Connection, Limits, Request, Response, Role, Shutdown};
 use crate::ring::HashRing;
-use crate::server::{positive_env, ServerConfig};
+use crate::ring::DEFAULT_VNODES;
+use crate::server::ServerConfig;
 use crate::session::SessionState;
 use lt_common::json::Value;
 use lt_common::obs::Snapshot;
@@ -51,7 +52,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Default health-probe cadence (`LT_SHARD_PROBE_MS`).
+/// Default health-probe cadence in milliseconds.
 pub const DEFAULT_PROBE_MS: u64 = 500;
 
 /// One shard as the coordinator sees it.
@@ -71,32 +72,32 @@ pub struct CoordinatorConfig {
     pub addr: String,
     /// The shard fleet. Must be non-empty.
     pub shards: Vec<ShardSpec>,
-    /// Virtual nodes per shard on the ring (`LT_SHARD_VNODES`, default 64).
+    /// Virtual nodes per shard on the ring (`LT_SHARD_VNODES` in the
+    /// `lt-serve` binary, default 64).
     pub vnodes: usize,
-    /// Health-probe cadence in ms (`LT_SHARD_PROBE_MS`, default 500).
+    /// Health-probe cadence in ms (`LT_SHARD_PROBE_MS` in the `lt-serve`
+    /// binary, default 500).
     pub probe_ms: u64,
-    /// Fleet-wide cap on one tenant's non-terminal sessions
-    /// (`LT_SERVE_TENANT_CAP`, default 64) — the global half of the
-    /// admission split; shards no longer need their own tenant caps when
-    /// fronted by a coordinator.
+    /// Fleet-wide cap on one tenant's non-terminal sessions — the global
+    /// half of the admission split; shards no longer need their own tenant
+    /// caps when fronted by a coordinator.
     pub tenant_cap: usize,
-    /// Fleet-wide cap on total non-terminal sessions (`LT_SERVE_QUEUE` ×
-    /// shard count by default): the global backlog bound answering 429.
+    /// Fleet-wide cap on total non-terminal sessions (queue depth × shard
+    /// count): the global backlog bound answering 429.
     pub max_active: usize,
-    /// Client-facing connection limits (`LT_SERVE_CONNS`,
-    /// `LT_SERVE_KEEPALIVE_MAX`, `LT_SERVE_IDLE_MS`), as on a daemon.
+    /// Client-facing connection limits, as on a daemon.
     pub limits: Limits,
 }
 
 impl CoordinatorConfig {
-    /// Defaults for `shards`, with env overrides for the knobs. Queue
-    /// depth, tenant cap and limits come from [`ServerConfig::from_env`].
-    pub fn new(shards: Vec<ShardSpec>) -> CoordinatorConfig {
-        let server = ServerConfig::from_env();
+    /// Configuration for fronting `shards`. The tenant cap, the backlog
+    /// cap (`server.queue_depth` × shard count) and the connection limits
+    /// come from `server`; the ring and the probe start at their defaults.
+    pub fn new(shards: Vec<ShardSpec>, server: &ServerConfig) -> CoordinatorConfig {
         CoordinatorConfig {
             addr: "127.0.0.1:0".to_string(),
-            vnodes: HashRing::from_env_vnodes(),
-            probe_ms: positive_env("LT_SHARD_PROBE_MS").map_or(DEFAULT_PROBE_MS, |v| v as u64),
+            vnodes: DEFAULT_VNODES,
+            probe_ms: DEFAULT_PROBE_MS,
             tenant_cap: server.tenant_cap,
             max_active: server.queue_depth * shards.len().max(1),
             limits: server.limits(),
@@ -610,7 +611,7 @@ mod tests {
                 addr: s.addr(),
             })
             .collect();
-        let mut config = CoordinatorConfig::new(specs);
+        let mut config = CoordinatorConfig::new(specs, &ServerConfig::default());
         config.probe_ms = 50;
         let coord = start_coordinator(config).unwrap();
         (shards, coord)
@@ -702,6 +703,32 @@ mod tests {
     }
 
     #[test]
+    fn config_derives_caps_and_limits_from_the_server_config() {
+        let shards: Vec<ShardSpec> = (0..3)
+            .map(|id| ShardSpec {
+                id,
+                addr: "127.0.0.1:1".parse().unwrap(),
+            })
+            .collect();
+        let server = ServerConfig {
+            queue_depth: 5,
+            tenant_cap: 7,
+            max_connections: 9,
+            ..ServerConfig::default()
+        };
+        let config = CoordinatorConfig::new(shards, &server);
+        assert_eq!(
+            config.max_active,
+            5 * 3,
+            "backlog cap is queue depth x shards"
+        );
+        assert_eq!(config.tenant_cap, 7);
+        assert_eq!(config.limits.max_connections, 9);
+        assert_eq!(config.vnodes, DEFAULT_VNODES);
+        assert_eq!(config.probe_ms, DEFAULT_PROBE_MS);
+    }
+
+    #[test]
     fn coordinator_enforces_fleet_tenant_quota() {
         let (_shards, coord) = fabric(2);
         // Cap of 1 active session per tenant fleet-wide.
@@ -713,7 +740,7 @@ mod tests {
                 addr: s.addr(),
             })
             .collect();
-        let mut config = CoordinatorConfig::new(shards_specs);
+        let mut config = CoordinatorConfig::new(shards_specs, &ServerConfig::default());
         config.tenant_cap = 1;
         config.probe_ms = 5_000; // no reconciliation during the test window
         let capped = start_coordinator(config).unwrap();

@@ -11,7 +11,7 @@
 use crate::http::Connection;
 use crate::server::{start, ServerConfig};
 use lt_common::json::{parse, Value};
-use lt_common::{derive_seed, json};
+use lt_common::{derive_seed, env, json};
 use std::io;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -25,7 +25,8 @@ pub struct LoadOptions {
     pub benchmark: String,
     /// LLM samples per session (small keeps the smoke gate fast).
     pub num_configs: usize,
-    /// Base seed; session slot `i` uses `derive_seed(base_seed, i)`.
+    /// Base seed (`LT_SEED`, as in the benchmark harness); session slot
+    /// `i` uses `derive_seed(base_seed, i)`.
     pub base_seed: u64,
     /// Give-up bound per session.
     pub poll_timeout: Duration,
@@ -42,20 +43,11 @@ impl Default for LoadOptions {
             clients: 16,
             benchmark: "tpch-sf1".to_string(),
             num_configs: 2,
-            base_seed: base_seed(),
+            base_seed: env::base_seed(),
             poll_timeout: Duration::from_secs(120),
             sessions_per_client: 1,
         }
     }
-}
-
-/// Base seed for load runs. Override with `LT_SEED` (same convention as
-/// the benchmark harness).
-pub fn base_seed() -> u64 {
-    std::env::var("LT_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42)
 }
 
 /// What one client observed.

@@ -19,7 +19,7 @@
 
 use crate::session::{ServingState, SessionHandle, SessionState, TuneRequest};
 use crate::wal::SessionRecord;
-use lambda_tune::{LambdaTune, SampleCache};
+use lambda_tune::LambdaTune;
 use lt_common::{derive_seed, obs, LtError, Secs};
 use lt_dbms::{Configuration, TuningTarget};
 use lt_drift::{
@@ -118,36 +118,30 @@ impl JobQueue {
         Ok(())
     }
 
-    /// Pops up to `max` jobs in DRR order, blocking for the first one.
-    /// Returns an empty vec only when the queue is closed and drained.
-    fn pop_batch(&self, max: usize) -> Vec<Job> {
+    /// Pops the next job in DRR order, blocking until there is one.
+    /// Returns `None` only when the queue is closed and drained.
+    fn pop(&self) -> Option<Job> {
         let mut inner = self.lock();
-        loop {
-            if inner.len > 0 {
-                break;
-            }
+        while inner.len == 0 {
             if inner.closed {
-                return Vec::new();
+                return None;
             }
             inner = match self.available.wait(inner) {
                 Ok(g) => g,
                 Err(poisoned) => poisoned.into_inner(),
             };
         }
-        let mut jobs = Vec::new();
-        while jobs.len() < max && inner.len > 0 {
-            let tenant = inner.rotation.pop_front().expect("rotation tracks len");
-            let fifo = inner.queues.get_mut(&tenant).expect("rotation has queue");
-            jobs.push(fifo.pop_front().expect("rotation queues are non-empty"));
-            let drained = fifo.is_empty();
-            inner.len -= 1;
-            if drained {
-                inner.queues.remove(&tenant);
-            } else {
-                inner.rotation.push_back(tenant);
-            }
+        let tenant = inner.rotation.pop_front().expect("rotation tracks len");
+        let fifo = inner.queues.get_mut(&tenant).expect("rotation has queue");
+        let job = fifo.pop_front().expect("rotation queues are non-empty");
+        let drained = fifo.is_empty();
+        inner.len -= 1;
+        if drained {
+            inner.queues.remove(&tenant);
+        } else {
+            inner.rotation.push_back(tenant);
         }
-        jobs
+        Some(job)
     }
 
     /// Stops accepting work; waiters wake and drain what remains.
@@ -173,52 +167,23 @@ pub enum SubmitError {
     ShuttingDown,
 }
 
-/// Coalescing batch size: how many queued sessions one worker may drain and
-/// process together, sharing a single batched LLM call when they differ only
-/// by seed. `LT_SERVE_BATCH`, default 1 (no coalescing) — results are
-/// identical at any batch size, only the token bill changes.
-fn serve_batch_from_env() -> usize {
-    std::env::var("LT_SERVE_BATCH")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
-
 impl WorkerPool {
-    /// Starts `workers` tuning threads behind a queue of depth `queue_depth`,
-    /// coalescing up to `LT_SERVE_BATCH` queued sessions per dequeue.
+    /// Starts `workers` tuning threads behind a queue of depth `queue_depth`.
     pub fn start(workers: usize, queue_depth: usize) -> WorkerPool {
-        WorkerPool::start_with_batch(workers, queue_depth, serve_batch_from_env())
-    }
-
-    /// [`WorkerPool::start`] with an explicit coalescing batch size.
-    pub fn start_with_batch(workers: usize, queue_depth: usize, batch: usize) -> WorkerPool {
-        let workers = workers.max(1);
-        let queue_depth = queue_depth.max(1);
-        let batch = batch.max(1);
-        let queue = Arc::new(JobQueue::new(queue_depth));
-        let handles = (0..workers)
+        let queue = Arc::new(JobQueue::new(queue_depth.max(1)));
+        let handles = (0..workers.max(1))
             .map(|i| {
                 let queue = queue.clone();
                 std::thread::Builder::new()
                     .name(format!("lt-serve-worker-{i}"))
-                    .spawn(move || loop {
-                        // Take one job (blocking); when coalescing, the DRR
-                        // pop opportunistically drains more already-queued
-                        // jobs (still one per tenant per round) up to the
-                        // batch bound.
-                        let jobs = queue.pop_batch(batch);
-                        if jobs.is_empty() {
-                            break; // closed and drained: shutdown
-                        }
-                        let mut tunes = Vec::new();
-                        for job in jobs {
+                    .spawn(move || {
+                        // `None` means closed and drained: shutdown.
+                        while let Some(job) = queue.pop() {
                             match job {
-                                Job::Tune(session) => tunes.push(session),
+                                Job::Tune(session) => run_session(&session),
                                 Job::Retune(session) => run_retune(&session),
                             }
                         }
-                        run_sessions(&tunes);
                     })
                     .expect("spawn lt-serve worker")
             })
@@ -277,126 +242,10 @@ fn measure_default(db: &mut dyn TuningTarget, workload: &Workload) -> Secs {
     total
 }
 
-/// Digest of everything *except* the seed that decides whether two queued
-/// sessions would send the same prompt: workload, system flavour, hardware,
-/// option group and starting configuration. Sessions sharing this key are
-/// coalesced into one batched LLM call.
-fn coalesce_key(request: &TuneRequest) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = lt_common::FxHasher::new();
-    request.benchmark.hash(&mut h);
-    request.dbms.hash(&mut h);
-    request.backend.hash(&mut h);
-    h.write_u64(request.hardware.memory_bytes);
-    h.write_u64(request.hardware.cores as u64);
-    h.write_u64(lt_fleet::options_digest(&request.options, false));
-    request.initial_config.as_deref().unwrap_or("").hash(&mut h);
-    h.finish()
-}
-
-/// Runs a drained batch of sessions, sharing one batched LLM call across
-/// those that differ only by seed. Grouping preserves dequeue order, and a
-/// failed prefetch only costs the sharing — every session still runs.
-fn run_sessions(sessions: &[SessionHandle]) {
-    if sessions.len() <= 1 {
-        for session in sessions {
-            run_session(session);
-        }
-        return;
-    }
-    let mut groups: Vec<(u64, Vec<&SessionHandle>)> = Vec::new();
-    for session in sessions {
-        let key = coalesce_key(&session.lock().request);
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, members)) => members.push(session),
-            None => groups.push((key, vec![session])),
-        }
-    }
-    for (_, members) in groups {
-        let samples = if members.len() > 1 {
-            prefetch_samples(&members)
-        } else {
-            None
-        };
-        for session in members {
-            run_session_with(session, samples.clone());
-        }
-    }
-}
-
-/// One batched LLM call covering every still-uncached session in a
-/// coalesced group: the shared prompt is built (and billed) once, the
-/// per-candidate seeds of all group members fan out through
-/// `complete_batch`, and the responses land in a [`SampleCache`] the
-/// sessions then drain. Purely an amortization — a `None` return (nothing
-/// to share, or the prefetch failed) leaves every session to sample for
-/// itself with identical results.
-fn prefetch_samples(group: &[&SessionHandle]) -> Option<Arc<SampleCache>> {
-    let request = group[0].lock().request.clone();
-    let workload = request.benchmark.load();
-    let mut db = request.backend.open(
-        request.dbms,
-        workload.catalog.clone(),
-        request.hardware,
-        request.seed,
-    );
-    if let Some(script) = &request.initial_config {
-        let config = Configuration::parse(script, request.dbms, db.catalog());
-        db.apply_knobs(&config);
-        for spec in config.index_specs() {
-            db.create_index(spec);
-        }
-    }
-    let profile = Profile::from_workload(db.catalog(), &workload);
-    let fleet = FleetCache::global();
-    let mut seeds: Vec<u64> = Vec::new();
-    let mut uncached = 0usize;
-    for session in group {
-        let options = session.lock().request.options;
-        let key = FleetKey::for_session(
-            db.as_ref(),
-            &profile,
-            &options,
-            request.initial_config.as_deref().unwrap_or(""),
-        );
-        if fleet.contains(&key) {
-            continue; // served from the tuning cache: needs no samples
-        }
-        uncached += 1;
-        for i in 0..options.num_configs {
-            let seed = derive_seed(options.seed, i as u64);
-            if !seeds.contains(&seed) {
-                seeds.push(seed);
-            }
-        }
-    }
-    if uncached < 2 {
-        return None; // nothing to amortize across
-    }
-    let tuner = LambdaTune::new(request.options);
-    let llm = LlmClient::new(SimulatedLlm::new());
-    let (prompt, _) = tuner.build_prompt(db.as_ref(), &workload, &llm).ok()?;
-    let responses = llm
-        .complete_batch(&prompt, request.options.temperature, &seeds)
-        .ok()?;
-    let cache = Arc::new(SampleCache::new());
-    for (seed, response) in seeds.iter().zip(responses) {
-        cache.insert(&prompt, request.options.temperature, *seed, response);
-    }
-    obs::counter("fleet.coalesced_sessions", uncached as u64);
-    Some(cache)
-}
-
 /// Runs one session end to end on the calling worker thread. Never panics:
 /// the pipeline is wrapped in `catch_unwind`, so the worst a poisoned
 /// request can do is fail its own session.
 pub fn run_session(session: &SessionHandle) {
-    run_session_with(session, None)
-}
-
-/// [`run_session`] with an optional prefetched sample cache from a
-/// coalesced batch.
-fn run_session_with(session: &SessionHandle, samples: Option<Arc<SampleCache>>) {
     // A cancel that raced the queue wins without spending any work.
     let id;
     {
@@ -430,7 +279,7 @@ fn run_session_with(session: &SessionHandle, samples: Option<Arc<SampleCache>>) 
     obs::counter("serve.sessions_started", 1);
 
     let request = session.lock().request.clone();
-    let outcome = catch_unwind(AssertUnwindSafe(|| tune_session(session, samples)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| tune_session(session)));
 
     let mut s = session.lock();
     match outcome {
@@ -492,10 +341,7 @@ fn run_session_with(session: &SessionHandle, samples: Option<Arc<SampleCache>>) 
 /// miss — measures the default workload time and runs the pipeline (an
 /// exact hit replays the cached run, including its default measurement).
 /// Returns `Ok(true)` when the run was cancelled mid-flight.
-fn tune_session(
-    session: &SessionHandle,
-    samples: Option<Arc<SampleCache>>,
-) -> lt_common::Result<bool> {
+fn tune_session(session: &SessionHandle) -> lt_common::Result<bool> {
     let request = session.lock().request.clone();
     let workload = request.benchmark.load();
 
@@ -550,11 +396,8 @@ fn tune_session(
     let result = match cached {
         Some(entry) => entry.to_result(db.as_ref()),
         None => {
-            let mut tuner = LambdaTune::new(request.options)
+            let tuner = LambdaTune::new(request.options)
                 .with_observer(std::sync::Arc::new(session.observer()));
-            if let Some(cache) = samples {
-                tuner = tuner.with_samples(cache);
-            }
             let llm = LlmClient::new(SimulatedLlm::new());
             let result = tuner.tune(db.as_mut(), &workload, &llm)?;
             if !result.cancelled {
@@ -987,30 +830,6 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_sessions_share_one_batched_call_and_match_solo_runs() {
-        let registry = SessionRegistry::new();
-        let batch: Vec<_> = (0..3)
-            .map(|i| registry.create(quick_request(&format!(r#", "seed": {}"#, 9200 + i))))
-            .collect();
-        let coalesced_before = counter_value("fleet.coalesced_sessions");
-        run_sessions(&batch);
-        assert_eq!(
-            counter_value("fleet.coalesced_sessions"),
-            coalesced_before + 3,
-            "all three uncached siblings should share the batched call"
-        );
-        for (i, h) in batch.iter().enumerate() {
-            let solo = registry.create(quick_request(&format!(r#", "seed": {}"#, 9200 + i)));
-            run_session(&solo);
-            let (b, s) = (h.lock(), solo.lock());
-            assert_eq!(b.state, SessionState::Done, "error: {:?}", b.error);
-            assert_eq!(b.best_script, s.best_script, "seed {}", 9200 + i);
-            assert_eq!(b.best_time, s.best_time);
-            assert_eq!(b.trajectory, s.trajectory);
-        }
-    }
-
-    #[test]
     fn invalid_initial_config_fails_the_session_not_the_worker() {
         let registry = SessionRegistry::new();
         let handle = registry.create(quick_request(
@@ -1043,11 +862,7 @@ mod tests {
 
     fn pop_tenants(queue: &JobQueue, n: usize) -> Vec<String> {
         (0..n)
-            .map(|_| {
-                let jobs = queue.pop_batch(1);
-                assert_eq!(jobs.len(), 1);
-                jobs[0].tenant()
-            })
+            .map(|_| queue.pop().expect("a queued job").tenant())
             .collect()
     }
 
@@ -1089,20 +904,6 @@ mod tests {
         assert_eq!(pop_tenants(&queue, 5), ["c", "a", "b", "c", "a"]);
     }
 
-    /// Batched pops still rotate across tenants (one job per tenant per
-    /// round) so coalescing cannot reintroduce starvation.
-    #[test]
-    fn drr_batch_pop_rotates_tenants() {
-        let registry = SessionRegistry::new();
-        let queue = JobQueue::new(64);
-        for i in 0..4 {
-            queue.push(tenant_job(&registry, "a", 9330 + i)).unwrap();
-        }
-        queue.push(tenant_job(&registry, "b", 9340)).unwrap();
-        let tenants: Vec<String> = queue.pop_batch(3).iter().map(|j| j.tenant()).collect();
-        assert_eq!(tenants, ["a", "b", "a"]);
-    }
-
     /// The depth bound applies across tenants, and a closed queue still
     /// drains before reporting empty.
     #[test]
@@ -1117,6 +918,6 @@ mod tests {
         let err = queue.push(tenant_job(&registry, "a", 9353)).unwrap_err();
         assert_eq!(err, SubmitError::ShuttingDown);
         assert_eq!(pop_tenants(&queue, 2), ["a", "b"]);
-        assert!(queue.pop_batch(1).is_empty());
+        assert!(queue.pop().is_none());
     }
 }

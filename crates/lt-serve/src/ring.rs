@@ -1,13 +1,13 @@
 //! Consistent-hash ring mapping session ids onto shards.
 //!
 //! The coordinator places every session on one of N shard processes by
-//! hashing its session id onto a ring of virtual nodes
-//! ([`LT_SHARD_VNODES`](HashRing::from_env_vnodes) per shard, default
-//! 64). Virtual nodes smooth the load spread; consistent hashing keeps
-//! key movement minimal when the membership changes: when a shard
-//! joins, only the keys it takes over move (≈ K/N of them), and every
-//! moved key moves *to* the joining shard — no key shuffles between
-//! surviving shards. The symmetric property holds on leave.
+//! hashing its session id onto a ring of virtual nodes ([`DEFAULT_VNODES`]
+//! per shard unless `LT_SHARD_VNODES` says otherwise). Virtual nodes
+//! smooth the load spread; consistent hashing keeps key movement minimal
+//! when the membership changes: when a shard joins, only the keys it
+//! takes over move (≈ K/N of them), and every moved key moves *to* the
+//! joining shard — no key shuffles between surviving shards. The
+//! symmetric property holds on leave.
 //!
 //! Placement is part of the fabric's determinism story: the ring is a
 //! pure function of `(session id, membership, vnodes)`, so replaying
@@ -18,7 +18,7 @@
 
 use lt_common::hash_one;
 
-/// Default number of virtual nodes per shard (`LT_SHARD_VNODES`).
+/// Default number of virtual nodes per shard.
 pub const DEFAULT_VNODES: usize = 64;
 
 /// A consistent-hash ring over shard ids.
@@ -76,15 +76,6 @@ impl HashRing {
         }
         points.sort_unstable();
         HashRing { points, vnodes }
-    }
-
-    /// Reads `LT_SHARD_VNODES` (default [`DEFAULT_VNODES`]).
-    pub fn from_env_vnodes() -> usize {
-        std::env::var("LT_SHARD_VNODES")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&v| v >= 1)
-            .unwrap_or(DEFAULT_VNODES)
     }
 
     /// Number of distinct shards on the ring.

@@ -47,46 +47,46 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Server configuration. Every field has an environment override so the
-/// `lt-serve` binary and the CI smoke runs share one code path. The
-/// coordinator reads its queue depth, tenant cap and connection limits
-/// from the same parse ([`crate::CoordinatorConfig::new`]).
+/// Server configuration. The `lt-serve` binary builds it once from the
+/// defaults, `LT_SERVE_CONNS` and its flags; tests set fields directly.
+/// The coordinator derives its tenant cap, backlog cap and connection
+/// limits from it ([`crate::CoordinatorConfig::new`]).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (tests, load generator).
     pub addr: String,
-    /// Tuning worker threads (`LT_SERVE_WORKERS`, default 2).
+    /// Tuning worker threads (`--workers`, default 2).
     pub workers: usize,
-    /// Job queue bound; a full queue answers 429 (`LT_SERVE_QUEUE`,
-    /// default 64).
+    /// Job queue bound; a full queue answers 429 (`--queue`, default 64).
     pub queue_depth: usize,
     /// Concurrent connection-thread bound; connections above it answer 503
-    /// without spawning a thread (`LT_SERVE_CONNS`, default 64). This caps
-    /// HTTP-layer threads the way `queue_depth` caps tuning jobs — a burst
-    /// of idle connections cannot exhaust threads while it holds. This and
-    /// the two keep-alive limits below bound the coordinator too.
+    /// without spawning a thread (`--conns` or `LT_SERVE_CONNS`, default
+    /// 64). This caps HTTP-layer threads the way `queue_depth` caps tuning
+    /// jobs — a burst of idle connections cannot exhaust threads while it
+    /// holds. This and the two keep-alive limits below bound the
+    /// coordinator too.
     pub max_connections: usize,
-    /// Per-tenant cap on non-terminal sessions (`LT_SERVE_TENANT_CAP`,
-    /// default 64). Tenancy is the `X-Tenant` request header (`"default"`
-    /// when absent); a tenant at its cap gets 429 + `Retry-After` while
-    /// other tenants keep being admitted.
+    /// Per-tenant cap on non-terminal sessions (default 64). Tenancy is
+    /// the `X-Tenant` request header (`"default"` when absent); a tenant at
+    /// its cap gets 429 + `Retry-After` while other tenants keep being
+    /// admitted.
     pub tenant_cap: usize,
     /// Requests served per connection before it is closed even for clients
-    /// asking `Connection: keep-alive` (`LT_SERVE_KEEPALIVE_MAX`, default
-    /// 32). Bounds how long one client can monopolize a connection thread.
+    /// asking `Connection: keep-alive` (default 32). Bounds how long one
+    /// client can monopolize a connection thread.
     pub keepalive_max: usize,
     /// Idle timeout in milliseconds: how long a connection may sit between
     /// requests (and how long one request may take to arrive) before the
-    /// thread gives up (`LT_SERVE_IDLE_MS`, default 30000).
+    /// thread gives up (default 30000).
     pub idle_timeout_ms: u64,
-    /// Durability directory (`LT_WAL_DIR`). When set, the server keeps a
+    /// Durability directory (`--wal-dir`). When set, the server keeps a
     /// write-ahead session log in `<dir>/sessions.wal`, replays it on
     /// startup (re-queuing interrupted sessions) and records every
     /// acknowledged lifecycle event. `None` (the default) serves from
     /// memory only.
     pub wal_dir: Option<String>,
     /// Shard identity when this server runs as one shard of a fabric
-    /// (`LT_SHARD_ID`). Surfaces in `/shard/healthz` and `/metrics`;
+    /// (`--shard-id`). Surfaces in `/shard/healthz` and `/metrics`;
     /// `None` (the default) means standalone.
     pub shard_id: Option<u32>,
 }
@@ -108,38 +108,6 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Reads the `LT_SERVE_*`, `LT_WAL_DIR` and `LT_SHARD_ID` overrides on
-    /// top of the defaults. Unparseable values fall back to the default
-    /// rather than failing startup.
-    pub fn from_env() -> ServerConfig {
-        let mut config = ServerConfig::default();
-        if let Ok(addr) = std::env::var("LT_SERVE_ADDR") {
-            if !addr.trim().is_empty() {
-                config.addr = addr.trim().to_string();
-            }
-        }
-        config.workers = positive_env("LT_SERVE_WORKERS").unwrap_or(config.workers);
-        config.queue_depth = positive_env("LT_SERVE_QUEUE").unwrap_or(config.queue_depth);
-        config.max_connections = positive_env("LT_SERVE_CONNS").unwrap_or(config.max_connections);
-        config.tenant_cap = positive_env("LT_SERVE_TENANT_CAP").unwrap_or(config.tenant_cap);
-        config.keepalive_max =
-            positive_env("LT_SERVE_KEEPALIVE_MAX").unwrap_or(config.keepalive_max);
-        if let Some(ms) = positive_env("LT_SERVE_IDLE_MS") {
-            config.idle_timeout_ms = ms as u64;
-        }
-        if let Ok(dir) = std::env::var("LT_WAL_DIR") {
-            if !dir.trim().is_empty() {
-                config.wal_dir = Some(dir.trim().to_string());
-            }
-        }
-        if let Ok(id) = std::env::var("LT_SHARD_ID") {
-            if let Ok(id) = id.trim().parse::<u32>() {
-                config.shard_id = Some(id);
-            }
-        }
-        config
-    }
-
     /// The front-end connection limits.
     pub fn limits(&self) -> Limits {
         Limits {
@@ -148,14 +116,6 @@ impl ServerConfig {
             idle_timeout_ms: self.idle_timeout_ms,
         }
     }
-}
-
-/// A positive integer from the environment; `None` when unset or not one.
-pub(crate) fn positive_env(name: &str) -> Option<usize> {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&v| v > 0)
 }
 
 struct ServerState {

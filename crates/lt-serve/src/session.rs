@@ -112,9 +112,8 @@ pub struct TuneRequest {
     /// Re-enter tuning automatically when the drift monitor alarms on the
     /// query feed (`"auto_retune": true` in the request body).
     pub auto_retune: bool,
-    /// Drift-detector configuration for this session: `LT_DRIFT_*`
-    /// environment defaults, overridden per-field by the request's
-    /// optional `"drift"` object.
+    /// Drift-detector configuration for this session: the defaults,
+    /// overridden per-field by the request's optional `"drift"` object.
     pub drift: DriftConfig,
 }
 
@@ -300,12 +299,12 @@ impl TuneRequest {
 }
 
 /// Parses the optional `"drift"` object of a tuning request: per-field
-/// overrides on top of the `LT_DRIFT_*` environment defaults, so a client
-/// can request a tighter (or looser) monitor for one session without
-/// touching process state.
+/// overrides on top of [`DriftConfig::default`], so a client can request a
+/// tighter (or looser) monitor for one session without touching process
+/// state.
 fn drift_config_from_json(doc: &Value) -> Result<DriftConfig> {
     let bad = |what: &str| LtError::Config(format!("bad request: {what}"));
-    let mut config = DriftConfig::from_env();
+    let mut config = DriftConfig::default();
     let overrides = match doc.get("drift") {
         None | Some(Value::Null) => return Ok(config),
         Some(v @ Value::Object(_)) => v,

@@ -39,7 +39,7 @@
 //! # Compaction
 //!
 //! The log is truncated by snapshotting: on open (and every
-//! `LT_WAL_COMPACT_EVERY` appends) the file is atomically rewritten with
+//! [`COMPACT_EVERY`] appends) the file is atomically rewritten with
 //! only the records replay still needs — non-terminal transitions,
 //! superseded advisory errors, removed sessions and duplicate fleet
 //! publications drop out; `done` and `feed` records are retained because
@@ -58,9 +58,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// Default appends between compaction snapshots (`LT_WAL_COMPACT_EVERY`;
-/// `0` disables running compaction, leaving only the on-open snapshot).
-const DEFAULT_COMPACT_EVERY: u64 = 4096;
+/// Records in the file beyond which an append takes a compaction snapshot.
+const COMPACT_EVERY: u64 = 4096;
 
 /// Everything a `done` record snapshots: the session's outcome fields in
 /// absolute form, so replaying the *last* `done` record alone reproduces
@@ -723,14 +722,14 @@ struct LogState {
     records_in_file: u64,
 }
 
-/// The durable session log: a [`LogWriter`] under a mutex, plus the
-/// compaction policy. One per server; handles carry it as an `Arc`.
+/// The durable session log: a [`LogWriter`] under a mutex, plus the path
+/// and options compaction reopens it with. One per server; handles carry
+/// it as an `Arc`.
 #[derive(Debug)]
 pub struct SessionLog {
     inner: Mutex<LogState>,
     path: PathBuf,
     opts: WalOptions,
-    compact_every: u64,
 }
 
 impl SessionLog {
@@ -762,10 +761,6 @@ impl SessionLog {
         // from disk before the writer appends after it.
         rewrite_log(&path, compacted.iter().map(|r| r.payload()), opts.sync)?;
         let writer = LogWriter::open(&path, opts.clone())?;
-        let compact_every = std::env::var("LT_WAL_COMPACT_EVERY")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(DEFAULT_COMPACT_EVERY);
         let log = SessionLog {
             inner: Mutex::new(LogState {
                 writer,
@@ -773,7 +768,6 @@ impl SessionLog {
             }),
             path,
             opts,
-            compact_every,
         };
         Ok((log, compacted))
     }
@@ -806,7 +800,7 @@ impl SessionLog {
                 eprintln!("lt-serve: wal append failed: {err}");
             }
         }
-        if self.compact_every > 0 && g.records_in_file > self.compact_every {
+        if g.records_in_file > COMPACT_EVERY {
             if let Err(err) = self.compact_locked(&mut g) {
                 obs::counter("wal.compact_errors", 1);
                 eprintln!("lt-serve: wal compaction failed: {err}");

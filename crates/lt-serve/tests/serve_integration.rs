@@ -441,10 +441,13 @@ fn one_shard_fabric(
         ..ServerConfig::default()
     })
     .expect("bind shard");
-    let mut config = CoordinatorConfig::new(vec![ShardSpec {
-        id: 0,
-        addr: shard.addr(),
-    }]);
+    let mut config = CoordinatorConfig::new(
+        vec![ShardSpec {
+            id: 0,
+            addr: shard.addr(),
+        }],
+        &ServerConfig::default(),
+    );
     configure(&mut config.limits);
     let coord = start_coordinator(config).expect("bind coordinator");
     (shard, coord)
@@ -756,10 +759,13 @@ fn spec_feed_synthesizes_server_side_and_proxies_through_the_coordinator() {
         ..ServerConfig::default()
     })
     .expect("bind shard");
-    let mut config = CoordinatorConfig::new(vec![ShardSpec {
-        id: 0,
-        addr: shard.addr(),
-    }]);
+    let mut config = CoordinatorConfig::new(
+        vec![ShardSpec {
+            id: 0,
+            addr: shard.addr(),
+        }],
+        &ServerConfig::default(),
+    );
     config.probe_ms = 50;
     let mut coord = start_coordinator(config).expect("bind coordinator");
     let addr = coord.addr();
@@ -843,4 +849,18 @@ fn shutdown_drains_inflight_sessions() {
     server.shutdown();
     assert!(request(addr, "GET", "/healthz", None).is_err());
     let _ = ids;
+}
+
+/// Zero-valued sizing flags are usage errors, not silently clamped to 1.
+#[test]
+fn zero_sizing_flags_exit_with_usage_status() {
+    for flag in ["--workers", "--queue", "--conns"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_lt-serve"))
+            .args([flag, "0"])
+            .output()
+            .expect("run lt-serve");
+        assert_eq!(out.status.code(), Some(2), "{flag} 0");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("must be a positive integer"), "{stderr}");
+    }
 }

@@ -1,7 +1,7 @@
 //! Deterministic synthetic data matching the catalog's statistics.
 //!
 //! The store loads a *scaled replica* of a benchmark schema: every table's
-//! row count is multiplied by `LT_STORE_SCALE`, and column NDVs shrink the
+//! row count is multiplied by the replica scale, and column NDVs shrink the
 //! same way [`Catalog::scale`] grows them — linearly for key columns,
 //! sub-linearly (square root) for categorical ones. Values are pure
 //! functions of `(seed, column, row index)`:

@@ -10,8 +10,8 @@
 //! identical across backends — only the *cost* of executing a plan
 //! changes, from modelled to measured.
 //!
-//! Physical execution runs against a scaled-down replica
-//! (`LT_STORE_SCALE`, default 1/500) loaded with deterministic synthetic
+//! Physical execution runs against a scaled-down replica (1/500 of the
+//! catalog's row counts) loaded with deterministic synthetic
 //! data matching the catalog's statistics ([`crate::datagen`]). Memory
 //! knobs are applied proportionally: the buffer pool holds
 //! `shared_buffers × scale` bytes of frames and operators spill beyond
@@ -31,20 +31,18 @@
 //!
 //! # Environment
 //!
-//! * `LT_BACKEND` — `sim` (default) or `store`; read by the CLI/server.
-//! * `LT_STORE_SCALE` — replica scale factor (default `0.002`).
-//! * `LT_STORE_DIR` — store directory (default: fresh temp dir per
-//!   instance, removed on drop).
-//! * `LT_STORE_KEEP` — set to `1` to keep the store directory on drop.
-//! * `LT_WAL_SYNC` / `LT_WAL_CRASH_AT` — see [`lt_common::wal`]; the redo
-//!   log honours both (fsync defaults *off* for the replica).
+//! * `LT_STORE_DIR` — store directory. Unset, every instance loads into a
+//!   fresh temp dir that is removed on drop; a directory named here is
+//!   never removed.
+//! * `LT_WAL_CRASH_AT` / `LT_WAL_CRASH_TORN` — crash injection in the redo
+//!   log; see [`crate::redo`].
 
 use crate::buffer::{BufferPool, MIN_FRAMES};
 use crate::datagen;
 use crate::exec::{proxy_seconds, ExecError, ExecStats, Executor, StoredIndex};
 use crate::heap::{write_value, Heap, Schema};
 use crate::page::PAGE_SIZE;
-use lt_common::{derive_seed, obs, secs, IndexId, Secs, TableId, VirtualClock};
+use lt_common::{derive_seed, env, obs, secs, IndexId, Secs, TableId, VirtualClock};
 use lt_dbms::db::query_tag;
 use lt_dbms::plan::Plan;
 use lt_dbms::stats::{Estimator, QueryPredicates};
@@ -58,8 +56,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Default replica scale: 1/500 of the catalog's row counts.
-const DEFAULT_SCALE: f64 = 0.002;
+/// Replica scale: 1/500 of the catalog's row counts.
+const REPLICA_SCALE: f64 = 0.002;
 
 static INSTANCE_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -101,7 +99,7 @@ impl StoreDb {
         let planner_fp = knobs.planner_fingerprint();
         let model = ExecutionModel::new(derive_seed(seed, 1), derive_seed(seed, 2));
         let plan_cache = PlanCache::new(catalog.fingerprint(), model.stats_seed);
-        let scale = scale_from_env();
+        let scale = REPLICA_SCALE;
         let (dir, owns_dir) = store_dir();
         std::fs::create_dir_all(&dir).expect("create store dir");
         let capacity = frames_for(knobs.buffer_pool_bytes(), scale);
@@ -440,7 +438,7 @@ impl TuningTarget for StoreDb {
 impl Drop for StoreDb {
     fn drop(&mut self) {
         let _ = self.pool.checkpoint();
-        if self.owns_dir && std::env::var("LT_STORE_KEEP").map_or(true, |v| v != "1") {
+        if self.owns_dir {
             let _ = std::fs::remove_dir_all(&self.dir);
         }
     }
@@ -471,18 +469,11 @@ fn flush_pool_counters(pool: &BufferPool, prev_hits: u64, prev_evictions: u64) {
     }
 }
 
-fn scale_from_env() -> f64 {
-    std::env::var("LT_STORE_SCALE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .map(|v| v.clamp(1e-5, 1.0))
-        .unwrap_or(DEFAULT_SCALE)
-}
-
+/// The store directory, and whether this instance owns (and so removes) it.
 fn store_dir() -> (PathBuf, bool) {
-    match std::env::var("LT_STORE_DIR") {
-        Ok(d) if !d.is_empty() => (PathBuf::from(d), false),
-        _ => {
+    match env::opt("LT_STORE_DIR", &"a fresh temp dir", |_: &PathBuf| true) {
+        Some(dir) => (dir, false),
+        None => {
             let n = INSTANCE_SEQ.fetch_add(1, Ordering::Relaxed);
             (
                 std::env::temp_dir().join(format!("lt_store_{}_{n}", std::process::id())),

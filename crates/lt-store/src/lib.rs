@@ -12,8 +12,8 @@
 //! [`StoreDb`] wires those into [`lt_dbms::TuningTarget`]: it *plans* on
 //! the full-scale catalog with the same optimizer and statistics seed as
 //! `SimDb` (identical plan trees, prompts and snippet extraction), then
-//! *executes* each plan against a scaled-down physical replica
-//! (`LT_STORE_SCALE`), mapping memory knobs proportionally. Because data
+//! *executes* each plan against a scaled-down physical replica (1/500 of
+//! the rows), mapping memory knobs proportionally. Because data
 //! size and memory budgets shrink by the same factor, cache-fit and
 //! spill behaviour mirror the full-scale deployment.
 //!

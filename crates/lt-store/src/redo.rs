@@ -9,6 +9,11 @@
 //! data file, which repairs torn *data* pages. A checkpoint (clean
 //! shutdown, or after a bulk load) truncates the log back to its header.
 //!
+//! The log never fsyncs: the store is a benchmark replica, and the redo
+//! rule (image before data write) already repairs torn data pages on
+//! recovery; what a lost buffered suffix costs is the tail of a load,
+//! never consistency.
+//!
 //! Crash injection: the writer honours `LT_WAL_CRASH_AT` /
 //! `LT_WAL_CRASH_TORN` via [`lt_common::wal::WalOptions::from_env`], so the
 //! recovery tests can kill a child process mid-load at a chosen append.
@@ -32,20 +37,10 @@ pub struct RedoLog {
 
 impl RedoLog {
     /// Opens (or creates) the redo log at `path`.
-    ///
-    /// Durability default: fsync is *off* unless `LT_WAL_SYNC` is set
-    /// explicitly — the store is a benchmark replica, and the redo rule
-    /// (image before data write) already repairs torn data pages on
-    /// recovery; what a lost buffered suffix costs is the tail of a load,
-    /// never consistency.
     pub fn open(path: &Path) -> io::Result<RedoLog> {
-        let mut opts = WalOptions::from_env();
-        if std::env::var("LT_WAL_SYNC").is_err() {
-            opts.sync = false;
-        }
         Ok(RedoLog {
             path: path.to_path_buf(),
-            writer: LogWriter::open(path, opts)?,
+            writer: LogWriter::open(path, options())?,
             appends: 0,
         })
     }
@@ -78,12 +73,17 @@ impl RedoLog {
     /// file now *is* the checkpoint, so no image needs replaying.
     pub fn checkpoint(&mut self) -> io::Result<()> {
         rewrite_log(&self.path, std::iter::empty::<Vec<u8>>(), false)?;
-        let mut opts = WalOptions::from_env();
-        if std::env::var("LT_WAL_SYNC").is_err() {
-            opts.sync = false;
-        }
-        self.writer = LogWriter::open(&self.path, opts)?;
+        self.writer = LogWriter::open(&self.path, options())?;
         Ok(())
+    }
+}
+
+/// The redo log's writer options: crash injection from the environment,
+/// fsync off.
+fn options() -> WalOptions {
+    WalOptions {
+        sync: false,
+        ..WalOptions::from_env()
     }
 }
 

@@ -22,14 +22,14 @@
 //!    parsed, its tables resolved against the catalog, and its extracted
 //!    join edges and filter terms compared to the assignment. A mismatch
 //!    is fed back verbatim as an `invalid:` prompt line and the query is
-//!    retried, up to [`crate::spec::retry_max`] attempts; every reject is
+//!    retried, up to [`crate::spec::RETRY_MAX`] attempts; every reject is
 //!    counted. Because validation demands the *exact* assigned structure,
 //!    a workload that comes back is 100% catalog-valid and conforms to
 //!    the spec query-by-query — the [`SynthReport`] measures the residual
 //!    (apportionment rounding, graph truncation) against the spec's
 //!    declared tolerance.
 
-use crate::spec::{retry_max, WorkloadSpec};
+use crate::spec::{WorkloadSpec, RETRY_MAX};
 use lt_common::json::Value;
 use lt_common::{derive_seed, json, obs, seeded_rng, LtError, Result, Rng};
 use lt_common::{ColumnId, TableId};
@@ -282,10 +282,9 @@ impl Synthesizer {
         let mut report = SynthReport::default();
         let assignments = self.plan(spec, &mut report);
 
-        let cap = retry_max();
         let mut pairs: Vec<(String, String)> = Vec::with_capacity(assignments.len());
         for (i, asg) in assignments.iter().enumerate() {
-            let sql = self.generate_one(spec, i, asg, llm, cap, &mut report)?;
+            let sql = self.generate_one(spec, i, asg, llm, &mut report)?;
             pairs.push((format!("g{i}"), sql));
         }
 
@@ -519,12 +518,11 @@ impl Synthesizer {
         index: usize,
         asg: &Assignment,
         llm: &LlmClient<M>,
-        cap: usize,
         report: &mut SynthReport,
     ) -> Result<String> {
         let mut prompt = self.prompt_for(spec, asg);
         let qseed = derive_seed(derive_seed(spec.seed, 2), index as u64);
-        for attempt in 0..cap {
+        for attempt in 0..RETRY_MAX {
             let response = llm.complete(
                 &prompt,
                 SYNTH_TEMPERATURE,
@@ -540,7 +538,7 @@ impl Synthesizer {
             }
         }
         Err(LtError::Config(format!(
-            "synthesis of {}[g{index}] exhausted {cap} attempts",
+            "synthesis of {}[g{index}] exhausted {RETRY_MAX} attempts",
             spec.name
         )))
     }

@@ -29,7 +29,7 @@ pub mod spec;
 pub mod stream;
 
 pub use generate::{Conformance, Shape, SynthReport, Synthesis, Synthesizer};
-pub use spec::{default_seed, retry_max, JoinMix, WorkloadSpec, MAX_SPEC_QUERIES};
+pub use spec::{JoinMix, WorkloadSpec, DEFAULT_SEED, MAX_SPEC_QUERIES, RETRY_MAX};
 pub use stream::{
     predicate_templates, Phase, PhaseSpec, PhasedStream, PhasedStreamSpec, PoolSpec, ShiftClass,
     StreamQuery, StreamSpec,

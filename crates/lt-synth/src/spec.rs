@@ -66,7 +66,7 @@ pub struct WorkloadSpec {
     pub benchmark: Benchmark,
     /// Number of queries to generate (1 ..= [`MAX_SPEC_QUERIES`]).
     pub queries: usize,
-    /// Seed of every draw the engine makes (defaults to `LT_SYNTH_SEED`).
+    /// Seed of every draw the engine makes (defaults to [`DEFAULT_SEED`]).
     pub seed: u64,
     /// Join-shape mix for multi-table queries.
     pub join_mix: JoinMix,
@@ -89,23 +89,12 @@ pub struct WorkloadSpec {
     pub tolerance: f64,
 }
 
-/// Base seed for specs that do not pin one (`LT_SYNTH_SEED`, default 42).
-pub fn default_seed() -> u64 {
-    std::env::var("LT_SYNTH_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42)
-}
+/// Base seed for specs that do not pin one.
+pub const DEFAULT_SEED: u64 = 42;
 
-/// Validation-retry cap of the generation loop (`LT_SYNTH_RETRY_MAX`,
-/// default 4): attempts per query before the engine gives up.
-pub fn retry_max() -> usize {
-    std::env::var("LT_SYNTH_RETRY_MAX")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4usize)
-        .max(1)
-}
+/// Validation-retry cap of the generation loop: attempts per query before
+/// the engine gives up.
+pub const RETRY_MAX: usize = 4;
 
 impl Default for WorkloadSpec {
     fn default() -> Self {
@@ -113,7 +102,7 @@ impl Default for WorkloadSpec {
             name: "synth".to_string(),
             benchmark: Benchmark::TpchSf1,
             queries: 16,
-            seed: default_seed(),
+            seed: DEFAULT_SEED,
             join_mix: JoinMix::default(),
             depth_min: 2,
             depth_max: 4,
