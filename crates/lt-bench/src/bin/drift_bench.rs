@@ -19,7 +19,7 @@
 //! input order, and no wall-clock value enters stdout or the JSON — the
 //! CI gate diffs this artifact across `LT_BENCH_THREADS=1` and `=4`.
 
-use lt_bench::{base_seed, parallel_map, trials, write_results, ObsRun};
+use lt_bench::{base_seed, parallel_map, smoke_arg, trials, write_results, ObsRun};
 use lt_common::{derive_seed, json};
 use lt_drift::{compare_retune, run_stream, DriftConfig, StreamRunReport};
 use lt_synth::{PhasedStreamSpec, ShiftClass};
@@ -36,7 +36,7 @@ fn events_json(report: &StreamRunReport) -> json::Value {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = smoke_arg();
     let seed = base_seed();
     let n_trials = if smoke { 1 } else { trials() };
     let stationary_len = if smoke { 1_500 } else { 10_000 };

@@ -27,7 +27,7 @@
 //! The server phases run before [`ObsRun`] starts, so the trace sidecar
 //! covers only the single-threaded sections and stays `trace_check`-clean.
 
-use lt_bench::{base_seed, bench_threads, write_results, ObsRun};
+use lt_bench::{base_seed, bench_threads, smoke_arg, write_results, ObsRun};
 use lt_common::json::{parse, Value};
 use lt_common::{derive_seed, json, obs};
 use lt_dbms::{Dbms, Hardware, SimDb};
@@ -199,7 +199,7 @@ fn drive_tenants(addr: SocketAddr, seed: u64, tenants: &[usize], k: usize) -> Ve
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = smoke_arg();
     let seed = base_seed();
     let k = ARCHETYPES.len();
     let tenants = if smoke { 4 * k } else { 16 * k };

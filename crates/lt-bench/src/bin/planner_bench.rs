@@ -11,7 +11,7 @@
 //! join-cost evidence the re-baselined results rely on: the DPccp plan's
 //! estimated cost next to the greedy plan's on every such query.
 
-use lt_bench::{base_seed, write_results};
+use lt_bench::{base_seed, smoke_arg, write_results};
 use lt_common::json;
 use lt_dbms::{
     stats::{extract, JoinEdge, QueryPredicates},
@@ -136,7 +136,7 @@ fn synthetic_graph(shape: &str, n: usize) -> (Catalog, QueryPredicates) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = smoke_arg();
     let reps = if smoke { 1 } else { 5 };
     let seed = base_seed();
     println!("Planner micro-benchmark: naive all-subsets DP (old) vs DPccp (new)");

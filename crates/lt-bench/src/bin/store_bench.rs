@@ -9,25 +9,24 @@
 //!    engine genuinely responds to the knobs the tuner turns.
 //! 2. **Calibration** — fits the simulator's [`CostConstants`] (I/O, CPU
 //!    and spill multipliers, coordinate descent in log space) so simulated
-//!    query times track the engine's deterministic proxy times, reporting
-//!    the RMS `log10(sim/store)` residual before and after the fit.
+//!    query times track the engine's deterministic proxy times; the RMS
+//!    `log10(sim/store)` residual must be lower after the fit than before.
 //! 3. **Tuning** — runs the full λ-Tune pipeline against the engine and
 //!    replays the winning configuration on a fresh instance, checking it
 //!    beats the default configuration on measured (proxy) time.
 //!
-//! Everything numeric in `results/BENCH_store.json` derives from
-//! deterministic counters; wall-clock diagnostics are confined to fields
-//! whose names start with `wall` so the determinism gate can filter them
-//! (`grep -v '"wall'`).
+//! Everything in `results/BENCH_store.json` derives from deterministic
+//! counters and holds no wall-clock value, so the determinism gate
+//! compares it whole; the trace sidecar's `sweep`, `calibrate` and `tune`
+//! spans carry the wall time.
 
 use lambda_tune::{LambdaTune, LambdaTuneOptions};
-use lt_bench::{base_seed, parallel_map, write_results, ObsRun};
+use lt_bench::{base_seed, parallel_map, smoke_arg, write_results, ObsRun};
 use lt_common::{json, obs, Secs};
 use lt_dbms::{Configuration, CostConstants, Dbms, Hardware, SimDb, TuningTarget};
 use lt_llm::{LlmClient, SimulatedLlm};
 use lt_store::StoreDb;
 use lt_workloads::{Benchmark, Workload};
-use std::time::Instant;
 
 /// Which knob a sweep cell varies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +42,6 @@ struct SweepPoint {
     spills: u64,
     spill_pages: u64,
     proxy_seconds: f64,
-    wall_ms: f64,
 }
 
 fn hardware() -> Hardware {
@@ -67,7 +65,6 @@ fn run_workload(db: &mut StoreDb, w: &Workload) -> f64 {
 /// pass. Hit rate and spill counters come from the measured pass only.
 fn sweep_cell(benchmark: Benchmark, knob: SweepKnob, value: &'static str, seed: u64) -> SweepPoint {
     let _span = obs::span("sweep");
-    let wall = Instant::now();
     let w = benchmark.load();
     let mut db = fresh_store(&w, seed);
     let script = match knob {
@@ -98,7 +95,6 @@ fn sweep_cell(benchmark: Benchmark, knob: SweepKnob, value: &'static str, seed: 
         spills: ex1.spills - ex0.spills,
         spill_pages: ex1.spill_pages - ex0.spill_pages,
         proxy_seconds,
-        wall_ms: wall.elapsed().as_secs_f64() * 1e3,
     }
 }
 
@@ -180,7 +176,6 @@ struct TuningOutcome {
     tuned_proxy_seconds: f64,
     winner_knobs: usize,
     winner_indexes: usize,
-    wall_ms: f64,
 }
 
 /// Full λ-Tune run against the storage engine, then an apples-to-apples
@@ -188,7 +183,6 @@ struct TuningOutcome {
 /// a fresh engine, both cold, both measured in proxy seconds.
 fn tuning_phase(benchmark: Benchmark, seed: u64, smoke: bool) -> TuningOutcome {
     let _span = obs::span("tune");
-    let wall = Instant::now();
     let w = benchmark.load();
     let mut default_db = fresh_store(&w, seed);
     let default_proxy_seconds = run_workload(&mut default_db, &w);
@@ -222,7 +216,6 @@ fn tuning_phase(benchmark: Benchmark, seed: u64, smoke: bool) -> TuningOutcome {
         tuned_proxy_seconds,
         winner_knobs: best.knob_changes().count(),
         winner_indexes: specs.len(),
-        wall_ms: wall.elapsed().as_secs_f64() * 1e3,
     }
 }
 
@@ -235,14 +228,12 @@ fn sweep_json(points: &[&SweepPoint], knob: SweepKnob) -> json::Value {
                     "value": p.value,
                     "hit_rate": p.hit_rate,
                     "proxy_seconds": p.proxy_seconds,
-                    "wall_ms": p.wall_ms,
                 }),
                 SweepKnob::WorkMem => json!({
                     "value": p.value,
                     "spills": p.spills as i64,
                     "spill_pages": p.spill_pages as i64,
                     "proxy_seconds": p.proxy_seconds,
-                    "wall_ms": p.wall_ms,
                 }),
             })
             .collect(),
@@ -250,7 +241,7 @@ fn sweep_json(points: &[&SweepPoint], knob: SweepKnob) -> json::Value {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = smoke_arg();
     let _obs = ObsRun::start("BENCH_store");
     let seed = base_seed();
     let benchmarks: Vec<Benchmark> = if smoke {
@@ -328,6 +319,13 @@ fn main() {
             wm.iter().map(|p| (p.value, p.spills)).collect::<Vec<_>>()
         );
         let (calib, tuning) = &fits[bi];
+        assert!(
+            calib.rms_after < calib.rms_before,
+            "{}: calibrated cost fit must beat the uncalibrated one (rms log10 {:.3} vs {:.3})",
+            benchmark.name(),
+            calib.rms_after,
+            calib.rms_before
+        );
         let improved = tuning.tuned_proxy_seconds < tuning.default_proxy_seconds;
         let improvement_pct = 100.0 * (tuning.default_proxy_seconds - tuning.tuned_proxy_seconds)
             / tuning.default_proxy_seconds;
@@ -395,7 +393,6 @@ fn main() {
                 "improved": improved,
                 "winner_knobs": tuning.winner_knobs as i64,
                 "winner_indexes": tuning.winner_indexes as i64,
-                "wall_ms": tuning.wall_ms,
             }),
         }));
     }

@@ -28,7 +28,7 @@
 //! the CI gate diffs the smoke artifact across `LT_BENCH_THREADS=1`
 //! and `=4`.
 
-use lt_bench::{base_seed, parallel_map, write_results, ObsRun};
+use lt_bench::{base_seed, parallel_map, smoke_arg, write_results, ObsRun};
 use lt_common::json::Value;
 use lt_common::{derive_seed, json};
 use lt_drift::{compare_retune, run_stream_spec, DriftConfig};
@@ -104,7 +104,7 @@ fn stream_config() -> DriftConfig {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = smoke_arg();
     let seed = base_seed();
     let scenarios = if smoke { 24 } else { 1000 };
     let tune_legs = if smoke { 2 } else { 8 };

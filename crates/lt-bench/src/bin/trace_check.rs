@@ -1,4 +1,5 @@
-//! Validates a trace sidecar written by `ObsRun` (CI's trace gate).
+//! Validates a trace sidecar written by `ObsRun` (run by the CI determinism
+//! gate on every sidecar its traced pass writes).
 //!
 //! Checks that the event log contains spans for the LLM-call, ILP-solve and
 //! config-eval phases plus the root `run` span, and that the per-phase

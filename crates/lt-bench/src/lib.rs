@@ -239,6 +239,30 @@ pub fn probe_default_time(scenario: Scenario, seed: u64) -> (Secs, Secs) {
     (time, db.now() - start)
 }
 
+/// The command line every bench driver accepts: no argument (the full
+/// run, which rewrites the committed `results/BENCH_*.json`) or exactly
+/// `--smoke`. Anything else is `None`, so a mistyped flag can never fall
+/// through to the full run.
+pub fn smoke_mode(args: &[String]) -> Option<bool> {
+    match args {
+        [] => Some(false),
+        [flag] if flag == "--smoke" => Some(true),
+        _ => None,
+    }
+}
+
+/// [`smoke_mode`] of this process's arguments; prints a usage line and
+/// exits 2 on anything else.
+pub fn smoke_arg() -> bool {
+    let mut args = std::env::args();
+    let bin = args.next().unwrap_or_default();
+    smoke_mode(&args.collect::<Vec<_>>()).unwrap_or_else(|| {
+        let bin = std::path::Path::new(&bin).file_name().unwrap_or_default();
+        eprintln!("usage: {} [--smoke]", bin.to_string_lossy());
+        std::process::exit(2);
+    })
+}
+
 /// Number of trials (paper: 3). Override with `LT_TRIALS`.
 pub fn trials() -> usize {
     env::get("LT_TRIALS", 3, |&n| n > 0)
@@ -522,6 +546,15 @@ mod tests {
         // Key indexes can only help under the default optimizer settings if
         // plans use them; at minimum they must not slow queries down much.
         assert!(t_with <= t_without * 1.1, "{t_with} vs {t_without}");
+    }
+
+    #[test]
+    fn smoke_mode_accepts_nothing_or_exactly_smoke() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(smoke_mode(&args(&[])), Some(false));
+        assert_eq!(smoke_mode(&args(&["--smoke"])), Some(true));
+        assert_eq!(smoke_mode(&args(&["--smok"])), None);
+        assert_eq!(smoke_mode(&args(&["--smoke", "x"])), None);
     }
 
     #[test]

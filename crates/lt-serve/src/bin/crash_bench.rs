@@ -5,8 +5,8 @@
 //! crash-bench          # full matrix: every record-prefix kill point,
 //!                      # corruption cases, live child kill points;
 //!                      # writes results/BENCH_crash.json
-//! crash-bench --smoke  # reduced scenario; the CI crash-recovery gate;
-//!                      # writes results/BENCH_crash.smoke.json
+//! crash-bench --smoke  # reduced scenario, run by the CI determinism
+//!                      # gate; writes results/BENCH_crash.smoke.json
 //! ```
 //!
 //! Three layers of injection, strongest guarantee first:
@@ -22,7 +22,8 @@
 //!    prefix and satisfy the same invariants.
 //! 3. **Live child** — the real `lt-serve` binary with `LT_WAL_CRASH_AT=n`
 //!    aborts itself mid-scenario; a clean restart must recover every
-//!    session the client had an acknowledgement for.
+//!    session the client had an acknowledgement for. The run fails if
+//!    `lt-serve` is not next to `crash-bench`.
 //!
 //! Invariants checked at every kill point: no acknowledged session is
 //! lost, every recovered session reaches the same terminal state, winners
@@ -621,6 +622,7 @@ fn main() {
     if WalOptions::from_env().crash_at.is_some() {
         fail("unset LT_WAL_CRASH_AT before running crash-bench");
     }
+    let bin = lt_serve::fleet::server_binary().unwrap_or_else(|e| fail(&e.to_string()));
     let plain_sessions = if smoke { 1 } else { 3 };
     let live_points: Vec<u64> = if smoke {
         vec![2, 6]
@@ -643,20 +645,9 @@ fn main() {
     println!("  corruption: torn tail, mid-file byte flip");
     check_corruption(&baseline);
 
-    let bin = std::env::current_exe()
-        .ok()
-        .and_then(|p| Some(p.parent()?.join("lt-serve")))
-        .filter(|p| p.exists());
-    match &bin {
-        Some(bin) => {
-            println!("  live kill points: {live_points:?}");
-            for &n in &live_points {
-                check_live(bin, &baseline, plain_sessions, n);
-            }
-        }
-        None => {
-            println!("  live kill points skipped: lt-serve binary not found next to crash-bench")
-        }
+    println!("  live kill points: {live_points:?}");
+    for &n in &live_points {
+        check_live(&bin, &baseline, plain_sessions, n);
     }
 
     let sessions: Vec<Value> = baseline
@@ -688,7 +679,7 @@ fn main() {
         "prefix_points": records + 1,
         "corruption_cases": 2,
         "live_kill_points": live_points.iter().map(|&n| n as i64).collect::<Vec<i64>>(),
-        "live_tested": bin.is_some(),
+        "live_tested": true,
         "ok": true,
     });
     std::fs::create_dir_all("results").unwrap_or_else(|e| fail(&format!("mkdir results: {e}")));
@@ -702,6 +693,6 @@ fn main() {
     println!(
         "crash-bench ok: {} prefixes, 2 corruption cases, {} live kill points; wrote {file}",
         records + 1,
-        if bin.is_some() { live_points.len() } else { 0 }
+        live_points.len()
     );
 }

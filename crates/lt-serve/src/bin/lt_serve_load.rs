@@ -124,9 +124,9 @@ fn client_rows(run: &lt_serve::load::LoadRun) -> Vec<Value> {
 
 /// Multi-process smoke: a real coordinator + `shards` shard daemons over
 /// loopback, a small client set, fleet `/metrics` checked. The output file
-/// carries only deterministic fields plus `"wall…"`-prefixed diagnostics,
-/// so the CI determinism gate can diff it across shard counts (the file
-/// deliberately omits the shard count — that is the point of the diff).
+/// carries only deterministic fields, so the CI determinism gate can diff
+/// it across shard counts (the file deliberately omits the shard count —
+/// that is the point of the diff).
 fn shard_smoke(shards: usize) {
     let opts = LoadOptions {
         clients: 4,
@@ -160,7 +160,6 @@ fn shard_smoke(shards: usize) {
             "mode": "shard-smoke",
             "base_seed": opts.base_seed as i64,
             "num_configs": opts.num_configs,
-            "wall_s": run.wall.as_secs_f64(),
             "clients": Value::Array(client_rows(&run)),
         }),
     );

@@ -4,23 +4,15 @@
 #
 #   LT_TRIALS=3 ./run_all.sh     # paper's trial count (slow)
 #   LT_TRIALS=1 ./run_all.sh     # quick pass
-#   LT_SMOKE=1 ./run_all.sh      # CI smoke: fig6 + table4 only, one trial
 #   LT_TRACE=1 ./run_all.sh      # also write results/<bin>.trace.json
 set -euo pipefail
 cd "$(dirname "$0")"
 
-if [[ "${LT_SMOKE:-0}" == "1" ]]; then
-    export LT_TRIALS="${LT_TRIALS:-1}"
-    targets=(fig6 table4)
-else
-    export LT_TRIALS="${LT_TRIALS:-3}"
-    targets=(table3 table4 table5 fig3 fig4 fig5 fig6 fig7 fig8)
-fi
-export LT_SEED="${LT_SEED:-42}"
+export LT_TRIALS="${LT_TRIALS:-3}" LT_SEED="${LT_SEED:-42}"
 
 cargo build --release -p lt-bench
 
-for target in "${targets[@]}"; do
+for target in table3 table4 table5 fig3 fig4 fig5 fig6 fig7 fig8; do
     echo "================================================================"
     echo "== $target"
     echo "================================================================"
