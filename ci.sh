@@ -44,7 +44,6 @@ gate_test() {
 }
 
 # Files both determinism passes must write byte for byte.
-# BENCH_planner.smoke.json is not compared: it holds timings.
 DETERMINISM_FILES="fig6.json table4.json fig4.json BENCH_drift.json \
 BENCH_drift.smoke.json BENCH_fleet.smoke.json serve_load.smoke.json \
 serve_shard.smoke.json BENCH_crash.smoke.json BENCH_store.smoke.json \
@@ -59,7 +58,6 @@ determinism_pass() {
     ./target/release/fig6 > /dev/null
     ./target/release/table4 > /dev/null
     ./target/release/fig4 > /dev/null
-    ./target/release/planner_bench --smoke > /dev/null
     ./target/release/drift_bench > /dev/null
     ./target/release/drift_bench --smoke > /dev/null
     ./target/release/fleet_bench --smoke > /dev/null

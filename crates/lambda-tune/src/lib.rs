@@ -24,7 +24,6 @@ pub mod evaluator;
 pub mod pipeline;
 pub mod progress;
 pub mod prompt;
-pub mod rag;
 pub mod scheduler;
 pub mod selector;
 pub mod snippets;
@@ -34,7 +33,6 @@ pub use evaluator::{ConfigMeta, Evaluator};
 pub use pipeline::{LambdaTune, LambdaTuneOptions, TuneResult, WarmStart};
 pub use progress::{CancelToken, ProgressEvent, TuneObserver};
 pub use prompt::PromptBuilder;
-pub use rag::{DocumentStore, Passage};
 pub use scheduler::{cluster_queries, expected_index_cost, find_optimal_order};
 pub use selector::{ConfigSelector, SelectorOptions, TrajectoryPoint};
 pub use snippets::{extract_snippets, Snippet};

@@ -101,7 +101,7 @@ impl Default for LambdaTuneOptions {
 
 /// Warm-start material carried over from a previous tuning run of the same
 /// session (the drift/re-tuning loop). Reusing the previous prompt skips
-/// snippet extraction, compression, and retrieval; seed scripts are parsed
+/// snippet extraction and compression; seed scripts are parsed
 /// into candidate configurations *before* any LLM sampling, so the previous
 /// winner competes as candidate 0 under the selector's timeouts.
 #[derive(Debug, Clone, Default)]
@@ -149,9 +149,6 @@ pub struct TuneResult {
 pub struct LambdaTune {
     /// Options.
     pub options: LambdaTuneOptions,
-    /// Optional documentation store for retrieval-augmented prompts (the
-    /// paper's §2 extension).
-    pub documents: Option<crate::rag::DocumentStore>,
     /// Optional progress/cancellation hook (the serving layer's per-session
     /// sink); see [`crate::progress`].
     pub observer: Option<Arc<dyn TuneObserver>>,
@@ -169,7 +166,6 @@ impl std::fmt::Debug for LambdaTune {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LambdaTune")
             .field("options", &self.options)
-            .field("documents", &self.documents)
             .field(
                 "observer",
                 &self.observer.as_ref().map(|_| "<dyn TuneObserver>"),
@@ -187,14 +183,6 @@ impl LambdaTune {
             options,
             ..Self::default()
         }
-    }
-
-    /// Enables retrieval-augmented prompting: the most relevant passages
-    /// of `store` (scored against the compressed workload) are appended to
-    /// the prompt.
-    pub fn with_documents(mut self, store: crate::rag::DocumentStore) -> Self {
-        self.documents = Some(store);
-        self
     }
 
     /// Attaches a progress/cancellation observer: it receives a
@@ -230,11 +218,9 @@ impl LambdaTune {
         let builder = PromptBuilder::new(db.dbms(), db.hardware()).params_only(opts.params_only);
         let obfuscator = opts.obfuscate.then(|| Obfuscator::new(db.catalog()));
         let reused_prompt = self.warm_start.as_ref().and_then(|w| w.prompt.clone());
-        let (prompt, workload_tokens) = if let Some(prompt) = reused_prompt {
+        Ok(if let Some(prompt) = reused_prompt {
             // Warm start: the previous run's prompt verbatim — no snippet
-            // extraction, compression, or retrieval is repeated, and no
-            // RAG block is re-appended (the reused prompt already carries
-            // whatever augmentation its original run had).
+            // extraction or compression is repeated.
             let tokens = lt_llm::count_tokens(&prompt);
             (prompt, tokens)
         } else if opts.use_compressor {
@@ -256,25 +242,7 @@ impl LambdaTune {
             let (prompt, _included) = builder.build_with_full_sql(workload, budget);
             let tokens = lt_llm::count_tokens(&prompt);
             (prompt, tokens)
-        };
-
-        // Retrieval augmentation: append the most relevant documentation
-        // passages to the prompt (bounded to 200 tokens). A reused prompt
-        // already contains its run's augmentation, so skip it then.
-        let warm_started = self.warm_start.as_ref().is_some_and(|w| w.prompt.is_some());
-        let prompt = match &self.documents {
-            Some(store) if !warm_started => {
-                let query = format!("{} OLAP tuning {prompt}", db.dbms().name());
-                let block = store.render_block(&query, 4, 200);
-                if block.is_empty() {
-                    prompt
-                } else {
-                    format!("{prompt}\n{block}")
-                }
-            }
-            _ => prompt,
-        };
-        Ok((prompt, workload_tokens))
+        })
     }
 
     /// Runs the full pipeline: prompt generation → k LLM samples →
@@ -546,33 +514,6 @@ mod tests {
         assert_eq!(
             deobfuscate_script("SET work_mem = '1GB';", &ob),
             "SET work_mem = '1GB';"
-        );
-    }
-
-    #[test]
-    fn rag_documents_influence_the_configuration() {
-        let (mut db, w, llm) = setup();
-        let mut store = crate::rag::DocumentStore::new();
-        store.add_document(
-            "ssd-guide",
-            "For OLAP index tuning on SSD storage, set effective_io_concurrency \
-             to 400 to maximize prefetching of index pages.",
-        );
-        let options = LambdaTuneOptions {
-            temperature: 0.0,
-            ..Default::default()
-        };
-        let result = LambdaTune::new(options)
-            .with_documents(store)
-            .tune(&mut db, &w, &llm)
-            .unwrap();
-        let followed = result.configs.iter().any(|c| {
-            c.knob_changes()
-                .any(|(n, v)| n == "effective_io_concurrency" && v.as_f64() == 400.0)
-        });
-        assert!(
-            followed,
-            "the retrieved documentation should shape the configs"
         );
     }
 

@@ -258,13 +258,6 @@ pub fn schedule(item_indexes: &[Vec<usize>], costs: &[f64], seed: u64) -> Vec<us
         .collect()
 }
 
-/// Random order baseline (for ablation comparisons): deterministic shuffle.
-pub fn arbitrary_order(n: usize, seed: u64) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..n).collect();
-    seeded_rng(seed).shuffle(&mut order);
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,14 +389,5 @@ mod tests {
         assert!(find_optimal_order(&[], &[]).is_empty());
         assert_eq!(expected_index_cost(&[], &[], &[]), 0.0);
         assert!(cluster_queries(&[], 0, 5, 1).is_empty());
-    }
-
-    #[test]
-    fn arbitrary_order_is_a_permutation() {
-        let o = arbitrary_order(10, 3);
-        let mut s = o.clone();
-        s.sort_unstable();
-        assert_eq!(s, (0..10).collect::<Vec<_>>());
-        assert_eq!(arbitrary_order(10, 3), o);
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! Plain `std::time::Instant` timing (the workspace builds with zero
 //! external crates): each case runs a few warmup iterations, then reports
-//! the mean over timed iterations.
+//! the mean over timed iterations; the cold ILP cases time one solve each.
 //!
 //! Usage: `cargo bench -p lt-bench` or
 //! `cargo run --release -p lt-bench --bin` is *not* needed — this is the
@@ -47,8 +47,10 @@ fn bench_ilp_compression() {
     );
     let snippets = extract_snippets(&db, &workload);
     let compressor = Compressor::new(&workload.catalog);
+    // The compression memo is process-wide and keyed by budget, so only the
+    // first call per budget solves; time exactly that call.
     for budget in [100usize, 300, 800] {
-        bench(&format!("ilp_compression_job/{budget}"), 2, 10, || {
+        bench(&format!("ilp_compression_job/{budget}/cold"), 0, 1, || {
             black_box(compressor.compress(black_box(&snippets), budget).unwrap());
         });
     }

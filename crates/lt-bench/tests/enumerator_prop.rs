@@ -1,38 +1,43 @@
-//! Property suite for the DPccp join enumerator.
-//!
-//! Three guarantees, per the optimizer rewrite:
-//! (a) DPccp produces exactly the plan naive all-subsets DP produces, on
-//!     random connected *and* disconnected join graphs,
-//! (b) beyond the legacy relation limit the default enumerator never
-//!     returns a plan costlier than greedy's,
-//! (c) with the relation limit pinned to the legacy 13, every benchmark
-//!     query plans identically to the legacy enumerator — the
-//!     byte-identity contract the re-baselined results rely on.
+//! Property suite for the DPccp join enumerator behind
+//! `Optimizer::plan_extracted`, checked against the two reference planners:
+//! (a) DPccp produces exactly the plan naive all-subsets DP
+//!     (`plan_naive_dp`) produces, on random connected *and* disconnected
+//!     join graphs,
+//! (b) above `DP_ONLY_RELATION_LIMIT` the planner never returns a plan
+//!     costlier than greedy's (`plan_greedy`), and on chain, star and
+//!     clique graphs DP's plan is strictly cheaper,
+//! (c) every benchmark query plans exactly as naive DP plans it,
+//! (d) beyond `DP_RELATION_LIMIT` the planner returns greedy's plan.
 
 use lt_common::rng::{seeded_rng, Rng};
 use lt_dbms::{
     stats::{extract, FilterKind, FilterTerm, JoinEdge, QueryPredicates},
-    Catalog, Dbms, IndexCatalog, JoinEnumerator, KnobSet, Optimizer, LEGACY_DP_RELATION_LIMIT,
+    Catalog, Dbms, IndexCatalog, KnobSet, Optimizer, DP_ONLY_RELATION_LIMIT, DP_RELATION_LIMIT,
 };
 use lt_workloads::Benchmark;
 
-/// n-table catalog where every table has a primary key and a foreign key
-/// toward every other table, so arbitrary join graphs resolve.
-fn test_catalog(n: usize) -> Catalog {
+/// n-table catalog where table `i` holds `rows(i)` rows, a primary key, and
+/// a foreign key toward every other table with `rows / fk_div` distinct
+/// values, so arbitrary join graphs resolve.
+fn catalog_with(n: usize, rows: impl Fn(usize) -> u64, fk_div: f64) -> Catalog {
     let mut c = Catalog::new();
     for i in 0..n {
-        let rows = 1_000 + 37_000 * ((i * 7 + 3) % n) as u64;
+        let rows = rows(i);
         let name = format!("t{i}");
         let mut b = c.add_table(&name, rows).primary_key("id", 8);
         for j in 0..n {
             if j != i {
                 let fk_name = format!("fk{j}");
-                b = b.foreign_key(&fk_name, 8, (rows as f64 / 8.0).max(1.0));
+                b = b.foreign_key(&fk_name, 8, (rows as f64 / fk_div).max(1.0));
             }
         }
         b.finish();
     }
     c
+}
+
+fn test_catalog(n: usize) -> Catalog {
+    catalog_with(n, |i| 1_000 + 37_000 * ((i * 7 + 3) % n) as u64, 8.0)
 }
 
 fn pk(c: &Catalog, i: usize) -> lt_common::ColumnId {
@@ -128,8 +133,8 @@ fn dpccp_equals_naive_dp_on_random_graphs() {
                 let mut rng = seeded_rng(seed * 1000 + n as u64);
                 let preds = random_preds(&c, &mut rng, n, components);
                 let opt = optimizer(&c, &knobs, &idx);
-                let a = opt.plan_extracted_with(&preds, JoinEnumerator::Dpccp);
-                let b = opt.plan_extracted_with(&preds, JoinEnumerator::NaiveDp);
+                let a = opt.plan_extracted(&preds);
+                let b = opt.plan_naive_dp(&preds);
                 assert_eq!(
                     a, b,
                     "DPccp diverged from naive DP (n={n} seed={seed} components={components})"
@@ -139,18 +144,46 @@ fn dpccp_equals_naive_dp_on_random_graphs() {
     }
 }
 
+/// Join graph of one shape over every table of `c` (chain: t0–t1–…; star:
+/// t0 at the hub; clique: every pair joined).
+fn shaped_preds(c: &Catalog, n: usize, shape: &str) -> QueryPredicates {
+    let mut joins = Vec::new();
+    for i in 0..n {
+        for j in i + 1..n {
+            let joined = match shape {
+                "chain" => j == i + 1,
+                "star" => i == 0,
+                _ => true,
+            };
+            if joined {
+                joins.push(JoinEdge {
+                    left: fk(c, i, j),
+                    right: pk(c, j),
+                });
+            }
+        }
+    }
+    QueryPredicates {
+        tables: (0..n)
+            .map(|i| c.table_by_name(&format!("t{i}")).unwrap())
+            .collect(),
+        joins,
+        ..Default::default()
+    }
+}
+
 #[test]
 fn dp_beyond_legacy_limit_never_beats_greedy_on_cost() {
     let knobs = KnobSet::defaults(Dbms::Postgres);
-    for n in (LEGACY_DP_RELATION_LIMIT + 1)..=17usize {
+    let idx = IndexCatalog::new();
+    for n in (DP_ONLY_RELATION_LIMIT + 1)..=DP_RELATION_LIMIT {
         let c = test_catalog(n);
-        let idx = IndexCatalog::new();
         for seed in 0..3u64 {
             let mut rng = seeded_rng(seed * 77 + n as u64);
             let preds = random_preds(&c, &mut rng, n, 1);
             let opt = optimizer(&c, &knobs, &idx);
-            let dp = opt.plan_extracted_with(&preds, JoinEnumerator::Auto);
-            let greedy = opt.plan_extracted_with(&preds, JoinEnumerator::Greedy);
+            let dp = opt.plan_extracted(&preds);
+            let greedy = opt.plan_greedy(&preds);
             assert!(
                 dp.root.est_cost <= greedy.root.est_cost,
                 "DP plan costlier than greedy (n={n} seed={seed}): {} > {}",
@@ -159,6 +192,32 @@ fn dp_beyond_legacy_limit_never_beats_greedy_on_cost() {
             );
         }
     }
+    for n in [13usize, 15, 17] {
+        let c = catalog_with(n, |i| 10_000 + 90_000 * i as u64, 10.0);
+        for shape in ["chain", "star", "clique"] {
+            let preds = shaped_preds(&c, n, shape);
+            let opt = optimizer(&c, &knobs, &idx);
+            let dp = opt.plan_extracted(&preds);
+            let greedy = opt.plan_greedy(&preds);
+            assert!(
+                dp.root.est_cost < greedy.root.est_cost,
+                "DP plan not cheaper than greedy ({shape} n={n}): {} >= {}",
+                dp.root.est_cost,
+                greedy.root.est_cost
+            );
+        }
+    }
+}
+
+#[test]
+fn beyond_the_dp_limit_plans_are_greedy() {
+    let knobs = KnobSet::defaults(Dbms::Postgres);
+    let idx = IndexCatalog::new();
+    let n = DP_RELATION_LIMIT + 1;
+    let c = test_catalog(n);
+    let preds = random_preds(&c, &mut seeded_rng(n as u64), n, 1);
+    let opt = optimizer(&c, &knobs, &idx);
+    assert_eq!(opt.plan_extracted(&preds), opt.plan_greedy(&preds));
 }
 
 #[test]
@@ -190,14 +249,20 @@ fn legacy_limit_plans_match_legacy_enumerator_on_every_bench_query() {
                     if preds.tables.is_empty() {
                         continue;
                     }
-                    let opt = Optimizer::new(&w.catalog, knobs, idx, 42)
-                        .with_dp_limit(LEGACY_DP_RELATION_LIMIT);
-                    let new = opt.plan_extracted_with(&preds, JoinEnumerator::Auto);
-                    let old = opt.plan_extracted_with(&preds, JoinEnumerator::Legacy);
+                    // Above the DP-only width the planner may keep greedy's
+                    // plan, and naive DP is no longer its exact oracle.
+                    assert!(
+                        preds.tables.len() <= DP_ONLY_RELATION_LIMIT,
+                        "{} {} joins {} relations",
+                        bench.name(),
+                        q.label,
+                        preds.tables.len()
+                    );
+                    let opt = Optimizer::new(&w.catalog, knobs, idx, 42);
                     assert_eq!(
-                        new,
-                        old,
-                        "{} {}: limit-13 plan differs from legacy planner",
+                        opt.plan_extracted(&preds),
+                        opt.plan_naive_dp(&preds),
+                        "{} {}: plan differs from naive DP",
                         bench.name(),
                         q.label
                     );

@@ -384,16 +384,6 @@ impl Snapshot {
         stats
     }
 
-    /// Total wall time of thread-root spans — the run's wall time when the
-    /// binary wraps itself in a root span per thread.
-    pub fn root_wall(&self) -> f64 {
-        self.events
-            .iter()
-            .filter(|e| e.parent.is_none())
-            .map(|e| e.wall_dur)
-            .sum()
-    }
-
     /// Renders the end-of-run phase summary table.
     pub fn summary_table(&self) -> String {
         let mut out = String::new();

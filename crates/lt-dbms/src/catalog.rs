@@ -190,19 +190,6 @@ impl Catalog {
     pub fn total_bytes(&self) -> u64 {
         self.tables.iter().map(|t| t.pages(self) * PAGE_SIZE).sum()
     }
-
-    /// Rebuilds the name lookup maps (they are derived from the table and
-    /// column lists, so any external construction path can restore them).
-    pub fn rebuild_lookups(&mut self) {
-        self.table_names = self.tables.iter().map(|t| (t.name.clone(), t.id)).collect();
-        self.column_names.clear();
-        for c in &self.columns {
-            self.column_names
-                .entry(c.name.clone())
-                .or_default()
-                .push(c.id);
-        }
-    }
 }
 
 /// Fluent builder for one table's columns.

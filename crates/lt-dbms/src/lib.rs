@@ -41,9 +41,7 @@ pub use db::{QueryOutcome, SimDb};
 pub use executor::{CostConstants, ExecutionModel};
 pub use hardware::Hardware;
 pub use knobs::{Dbms, KnobCategory, KnobDef, KnobSet, KnobValue};
-pub use optimizer::{
-    JoinEnumerator, Optimizer, DEFAULT_DP_RELATION_LIMIT, LEGACY_DP_RELATION_LIMIT,
-};
+pub use optimizer::{Optimizer, DP_ONLY_RELATION_LIMIT, DP_RELATION_LIMIT};
 pub use physical::{Index, IndexCatalog};
 pub use plan::{PlanNode, PlanOp};
 pub use plan_cache::{CacheStats, PlanCache, PlanKey};

@@ -13,7 +13,7 @@
 //!
 //! # Join enumeration
 //!
-//! The production enumerator ([`JoinEnumerator::Auto`]) is a DPccp-style
+//! Production planning ([`Optimizer::plan_extracted`]) uses a DPccp-style
 //! dynamic program ([`Optimizer::dpccp_join`]): instead of enumerating all
 //! `2^n` subsets into a `HashMap` of cloned plan trees, it walks only the
 //! *connected* subsets of the join graph (disconnected subsets can never
@@ -23,10 +23,10 @@
 //! (admissible: the optimum is never pruned), and reconstructs the single
 //! winning `PlanNode` tree once at the end. That makes full DP affordable
 //! for every Join Order Benchmark query (the original JOB joins up to 17
-//! relations); beyond [`DEFAULT_DP_RELATION_LIMIT`] a greedy heuristic
-//! (PostgreSQL's GEQO analogue) takes over. The pre-DPccp planner is preserved verbatim as
-//! [`JoinEnumerator::Legacy`] so benchmarks and property tests can compare
-//! old vs new plans.
+//! relations); beyond [`DP_RELATION_LIMIT`] a greedy heuristic
+//! (PostgreSQL's GEQO analogue) takes over. Two reference planners,
+//! [`Optimizer::plan_naive_dp`] and [`Optimizer::plan_greedy`], exist so
+//! tests can check DPccp against naive all-subsets DP and against greedy.
 
 use crate::catalog::{Catalog, PAGE_SIZE};
 use crate::knobs::KnobSet;
@@ -37,47 +37,18 @@ use lt_common::{obs, ColumnId, IndexId, TableId};
 use lt_sql::ast::Query;
 use std::collections::HashMap;
 
-/// DP ceiling of the pre-DPccp planner. Kept as (a) the `Legacy`
-/// enumerator's naive-DP cutoff and (b) the width above which `Auto` also
-/// runs the greedy heuristic and keeps the cheaper plan: greedy can build
-/// bushy trees the left-deep DP space does not contain, so this guarantees
-/// the DP upgrade never regresses a query that the old planner handled
-/// greedily.
-pub const LEGACY_DP_RELATION_LIMIT: usize = 13;
-
 /// Maximum number of relations planned with exact DP. The original Join
 /// Order Benchmark's widest queries join 17 relations (our single-alias
 /// repro caps at 12), so every JOB query gets a full DP plan with headroom.
-/// Beyond the limit the planner falls back to the greedy heuristic;
-/// [`Optimizer::with_dp_limit`] overrides it per planner.
-pub const DEFAULT_DP_RELATION_LIMIT: usize = 17;
+/// Beyond the limit the planner falls back to the greedy heuristic.
+pub const DP_RELATION_LIMIT: usize = 17;
 
-/// Hard ceiling on dense-memo DP: the memo is `Vec`-indexed by bitmask, so
-/// memory is `32 bytes * 2^n`. 26 relations ⇒ 2 GiB would be absurd anyway;
-/// [`Optimizer::with_dp_limit`] is clamped here.
-const DENSE_DP_MAX: usize = 26;
-
-/// Join-enumeration strategy (see module docs). `Auto` is what production
-/// planning uses; the other variants exist for `planner_bench` and the
-/// enumerator property-test suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinEnumerator {
-    /// DPccp up to the configured relation limit, greedy beyond; between
-    /// [`LEGACY_DP_RELATION_LIMIT`] and the limit the greedy plan is also
-    /// built and the cheaper of the two wins.
-    Auto,
-    /// Force DPccp regardless of width (falls back to greedy only above
-    /// the dense-memo ceiling). Test/bench use.
-    Dpccp,
-    /// Force the naive all-subsets `HashMap` DP. Test/bench use only —
-    /// exponential in both time and cloned plan trees.
-    NaiveDp,
-    /// Force the greedy heuristic.
-    Greedy,
-    /// The exact pre-DPccp production policy: naive DP up to
-    /// [`LEGACY_DP_RELATION_LIMIT`], greedy beyond.
-    Legacy,
-}
+/// Widest join [`Optimizer::plan_extracted`] plans with DP alone. Above it
+/// (up to [`DP_RELATION_LIMIT`]) it also builds the greedy plan and keeps
+/// the cheaper one, because greedy can build bushy trees the left-deep DP
+/// space does not contain. 13 is where exact DP stopped before DPccp, so
+/// no join planned greedily then costs more than greedy's plan now.
+pub const DP_ONLY_RELATION_LIMIT: usize = 13;
 
 /// Planner cost constants resolved once per planner instance (knob lookups
 /// are string-keyed; the DP inner loop must not pay for them per candidate).
@@ -101,7 +72,6 @@ pub struct Optimizer<'a> {
     indexes: &'a IndexCatalog,
     est: Estimator<'a>,
     costs: PlannerCosts,
-    dp_limit: usize,
 }
 
 /// One candidate access path / partial join result during planning.
@@ -366,16 +336,7 @@ impl<'a> Optimizer<'a> {
             indexes,
             est,
             costs,
-            dp_limit: DEFAULT_DP_RELATION_LIMIT,
         }
-    }
-
-    /// Overrides the exact-DP relation limit for this planner instance
-    /// (tests and benchmarks; production planning uses
-    /// [`DEFAULT_DP_RELATION_LIMIT`]).
-    pub fn with_dp_limit(mut self, limit: usize) -> Self {
-        self.dp_limit = limit.clamp(1, DENSE_DP_MAX);
-        self
     }
 
     /// Plans a query. Queries referencing no known table produce a trivial
@@ -386,13 +347,49 @@ impl<'a> Optimizer<'a> {
     }
 
     /// Plans from already-extracted predicates (used by the facade to avoid
-    /// re-extraction).
+    /// re-extraction): DPccp up to [`DP_RELATION_LIMIT`] relations, greedy
+    /// beyond; above [`DP_ONLY_RELATION_LIMIT`] the cheaper of the two.
     pub fn plan_extracted(&self, preds: &QueryPredicates) -> Plan {
-        self.plan_extracted_with(preds, JoinEnumerator::Auto)
+        self.plan_with(preds, |base| {
+            let n = base.len();
+            if n > DP_RELATION_LIMIT {
+                obs::counter(obs::names::PLANNER_GREEDY_PLANS, 1);
+                return self.greedy_join(base, preds);
+            }
+            let dp = self.dpccp_join(&base, preds);
+            if n <= DP_ONLY_RELATION_LIMIT {
+                return dp;
+            }
+            let greedy = self.greedy_join(base, preds);
+            if greedy.node.est_cost < dp.node.est_cost {
+                obs::counter(obs::names::PLANNER_GREEDY_PLANS, 1);
+                greedy
+            } else {
+                dp
+            }
+        })
     }
 
-    /// Plans with an explicit join-enumeration strategy.
-    pub fn plan_extracted_with(&self, preds: &QueryPredicates, enumerator: JoinEnumerator) -> Plan {
+    /// Reference planner: the naive all-subsets DP over left-deep trees,
+    /// exponential in time and in cloned plan trees. DPccp must return
+    /// exactly its plan; tests compare the two.
+    pub fn plan_naive_dp(&self, preds: &QueryPredicates) -> Plan {
+        self.plan_with(preds, |base| self.naive_dp_join(&base, preds))
+    }
+
+    /// Reference planner: the greedy heuristic alone, the plan
+    /// [`Optimizer::plan_extracted`] returns beyond [`DP_RELATION_LIMIT`].
+    pub fn plan_greedy(&self, preds: &QueryPredicates) -> Plan {
+        self.plan_with(preds, |base| self.greedy_join(base, preds))
+    }
+
+    /// The steps every planner shares: best access path per table, `join`
+    /// to order them, then Gather and the post-join operators.
+    fn plan_with(
+        &self,
+        preds: &QueryPredicates,
+        join: impl FnOnce(Vec<Candidate>) -> Candidate,
+    ) -> Plan {
         if preds.tables.is_empty() {
             let root = PlanNode::leaf(PlanOp::Limit { rows: 1 }, 1.0, 0.01, 8.0);
             return Plan {
@@ -409,48 +406,7 @@ impl<'a> Optimizer<'a> {
                 tables: 1 << i,
             })
             .collect();
-        let n = base.len();
-        let joined = match enumerator {
-            JoinEnumerator::Auto => {
-                if n <= self.dp_limit {
-                    let dp = self.dpccp_join(&base, preds);
-                    if n > LEGACY_DP_RELATION_LIMIT {
-                        // Greedy can produce bushy trees outside the
-                        // left-deep DP space; keeping the cheaper of the two
-                        // guarantees no query costs more than under the old
-                        // greedy-only fallback.
-                        let greedy = self.greedy_join(base, preds);
-                        if greedy.node.est_cost < dp.node.est_cost {
-                            obs::counter(obs::names::PLANNER_GREEDY_PLANS, 1);
-                            greedy
-                        } else {
-                            dp
-                        }
-                    } else {
-                        dp
-                    }
-                } else {
-                    obs::counter(obs::names::PLANNER_GREEDY_PLANS, 1);
-                    self.greedy_join(base, preds)
-                }
-            }
-            JoinEnumerator::Dpccp => {
-                if n <= DENSE_DP_MAX {
-                    self.dpccp_join(&base, preds)
-                } else {
-                    self.greedy_join(base, preds)
-                }
-            }
-            JoinEnumerator::NaiveDp => self.naive_dp_join(&base, preds),
-            JoinEnumerator::Greedy => self.greedy_join(base, preds),
-            JoinEnumerator::Legacy => {
-                if n <= LEGACY_DP_RELATION_LIMIT {
-                    self.naive_dp_join(&base, preds)
-                } else {
-                    self.greedy_join(base, preds)
-                }
-            }
-        };
+        let joined = join(base);
         let mut join_costs = Vec::new();
         self.collect_join_costs(&joined.node, preds, &mut join_costs);
         let mut root = joined.node;
@@ -751,7 +707,10 @@ impl<'a> Optimizer<'a> {
         if n == 1 {
             return base[0].clone();
         }
-        assert!(n <= DENSE_DP_MAX, "dense DP memo capped at {DENSE_DP_MAX}");
+        assert!(
+            n <= DP_RELATION_LIMIT,
+            "dense DP memo capped at {DP_RELATION_LIMIT}"
+        );
         let graph = JoinGraph::build(self.catalog, &self.est, preds);
         let comps = graph.components();
         let mut memo = vec![DpCell::EMPTY; 1usize << n];
@@ -839,7 +798,7 @@ impl<'a> Optimizer<'a> {
             obs::counter(obs::names::PLANNER_CCP_PAIRS, pairs);
             obs::counter(obs::names::PLANNER_CCP_PRUNED, pruned);
         }
-        let full = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
+        let full = (1u64 << n) - 1;
         let node = if comps.len() == 1 {
             self.rebuild(full, &memo, &graph, base)
         } else {
@@ -940,12 +899,13 @@ impl<'a> Optimizer<'a> {
         node
     }
 
-    // ---- join enumeration: legacy ----
+    // ---- join enumeration: naive DP (reference) ----
 
     /// Join edges connecting a covered set to a new base table; returns
     /// every `(outer key, inner key)` pair plus the combined selectivity of
-    /// all connecting edges. (Legacy enumerator path; DPccp uses the
-    /// preprocessed [`JoinGraph`].)
+    /// all connecting edges. It resolves edges from `preds` on every call
+    /// rather than through DPccp's [`JoinGraph`], so the reference planner
+    /// shares no join-graph code with the planner it checks.
     fn connection(
         &self,
         covered: u64,
@@ -980,10 +940,8 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    /// The pre-DPccp exact DP: all-subsets enumeration with a `HashMap` of
-    /// cloned plan trees. Kept verbatim (minus the join-cost side channel)
-    /// as the baseline for `planner_bench` and the equivalence property
-    /// suite.
+    /// Naive exact DP: all-subsets enumeration with a `HashMap` of cloned
+    /// plan trees (see [`Optimizer::plan_naive_dp`]).
     fn naive_dp_join(&self, base: &[Candidate], preds: &QueryPredicates) -> Candidate {
         let n = base.len();
         if n == 1 {
@@ -1524,8 +1482,8 @@ mod tests {
         let q = parse_query(sql).unwrap();
         let opt = Optimizer::new(&c, &knobs, &idx, 42);
         let preds = extract(&q, &c);
-        let a = opt.plan_extracted_with(&preds, JoinEnumerator::Dpccp);
-        let b = opt.plan_extracted_with(&preds, JoinEnumerator::NaiveDp);
+        let a = opt.plan_extracted(&preds);
+        let b = opt.plan_naive_dp(&preds);
         assert_eq!(a, b, "DPccp and naive DP must produce identical plans");
     }
 
@@ -1539,8 +1497,8 @@ mod tests {
         let q = parse_query(sql).unwrap();
         let opt = Optimizer::new(&c, &knobs, &idx, 42);
         let preds = extract(&q, &c);
-        let a = opt.plan_extracted_with(&preds, JoinEnumerator::Dpccp);
-        let b = opt.plan_extracted_with(&preds, JoinEnumerator::NaiveDp);
+        let a = opt.plan_extracted(&preds);
+        let b = opt.plan_naive_dp(&preds);
         assert_eq!(a, b);
         let mut crosses = 0;
         a.root.visit(&mut |n| {
@@ -1549,20 +1507,5 @@ mod tests {
             }
         });
         assert_eq!(crosses, 1, "{}", a.explain());
-    }
-
-    #[test]
-    fn dp_limit_override_forces_greedy() {
-        let c = catalog();
-        let knobs = KnobSet::defaults(Dbms::Postgres);
-        let idx = IndexCatalog::new();
-        let sql = "select * from lineitem l, orders o, customer cu \
-                   where l.l_orderkey = o.o_orderkey and o.o_custkey = cu.c_custkey";
-        let q = parse_query(sql).unwrap();
-        let preds = extract(&q, &c);
-        let opt = Optimizer::new(&c, &knobs, &idx, 42).with_dp_limit(2);
-        let auto = opt.plan_extracted_with(&preds, JoinEnumerator::Auto);
-        let greedy = opt.plan_extracted_with(&preds, JoinEnumerator::Greedy);
-        assert_eq!(auto, greedy, "3 relations > limit 2 must plan greedily");
     }
 }

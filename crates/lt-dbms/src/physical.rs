@@ -188,11 +188,6 @@ impl IndexCatalog {
         self.indexes.is_empty()
     }
 
-    /// Indexes on a given table.
-    pub fn on_table(&self, table: TableId) -> impl Iterator<Item = &Index> {
-        self.indexes.values().filter(move |i| i.table == table)
-    }
-
     /// The best index whose *leading* column is `column`, if any.
     pub fn with_leading_column(&self, column: ColumnId) -> Option<&Index> {
         self.indexes.values().find(|i| i.leading_column() == column)

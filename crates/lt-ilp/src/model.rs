@@ -50,11 +50,6 @@ impl Ilp {
         self.objective.len()
     }
 
-    /// Number of constraints.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Sets the objective coefficient of one variable.
     pub fn set_objective(&mut self, var: VarId, coeff: f64) -> Result<()> {
         self.check_var(var)?;

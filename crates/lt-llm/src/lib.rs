@@ -20,13 +20,11 @@
 //! a configuration up to ~5× slower than the best (§6.3).
 
 pub mod api;
-pub mod robust;
 pub mod simulated;
 pub mod synthesis;
 pub mod tokenizer;
 
 pub use api::{LanguageModel, LlmClient, LlmUsage};
-pub use robust::{RobustCompletion, RobustOptions, RobustSampler};
 pub use simulated::{SimulatedLlm, SimulatedLlmOptions};
 pub use synthesis::{SynthesisLlm, SynthesisLlmOptions};
 pub use tokenizer::{count_tokens, truncate_to_tokens};

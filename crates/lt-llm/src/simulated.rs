@@ -96,10 +96,6 @@ struct PromptFacts {
     /// True when the prompt forbids index recommendations (parameter-only
     /// tuning scenario).
     params_only: bool,
-    /// Knob recommendations mined from documentation passages embedded in
-    /// the prompt ("set <knob> to <value>"), applied as overrides — the
-    /// model follows documentation it is shown (RAG extension).
-    doc_overrides: Vec<(String, String)>,
 }
 
 impl PromptFacts {
@@ -112,7 +108,6 @@ impl PromptFacts {
             join_columns: Vec::new(),
             params_only: lower.contains("do not recommend index")
                 || lower.contains("only system parameters"),
-            doc_overrides: Vec::new(),
         };
         for line in prompt.lines() {
             let trimmed = line.trim();
@@ -131,10 +126,6 @@ impl PromptFacts {
             }
             if let Some(cols) = parse_join_line(trimmed) {
                 facts.join_columns.extend(cols);
-                continue;
-            }
-            if let Some(hint) = parse_doc_hint(trimmed) {
-                facts.doc_overrides.push(hint);
             }
         }
         // No compressed lines? The prompt may carry raw SQL instead.
@@ -245,36 +236,6 @@ fn tpch_table_for(column: &str) -> Option<&'static str> {
         .map(|(_, t)| *t)
 }
 
-/// Mines "set <knob> to <value>" recommendations from documentation lines
-/// in the prompt. Only underscore-bearing identifiers are treated as knob
-/// names, so prose never matches by accident.
-fn parse_doc_hint(line: &str) -> Option<(String, String)> {
-    let lower = line.to_ascii_lowercase();
-    let words: Vec<&str> = lower
-        .split(|c: char| c.is_whitespace() || c == ',' || c == ';')
-        .filter(|w| !w.is_empty())
-        .collect();
-    for (i, w) in words.iter().enumerate() {
-        if (*w == "set" || *w == "setting") && i + 3 < words.len() + 1 {
-            let knob = words.get(i + 1)?;
-            if !knob.contains('_') || !is_identifier(knob) {
-                continue;
-            }
-            if words.get(i + 2).copied() != Some("to") {
-                continue;
-            }
-            let value = words
-                .get(i + 3)?
-                .trim_matches(|c: char| c == '.' || c == ',' || c == ';');
-            if value.is_empty() {
-                continue;
-            }
-            return Some((knob.to_string(), value.to_string()));
-        }
-    }
-    None
-}
-
 fn dedup_preserving_order(v: &mut Vec<String>) {
     let mut seen = std::collections::HashSet::new();
     v.retain(|s| seen.insert(s.clone()));
@@ -361,7 +322,6 @@ fn generate_postgres(
         ));
     }
     push_indexes(&mut out, facts, heat, rng, options);
-    push_doc_overrides(&mut out, facts);
     out
 }
 
@@ -398,21 +358,7 @@ fn generate_mysql(
         facts.cores.max(1)
     ));
     push_indexes(&mut out, facts, heat, rng, options);
-    push_doc_overrides(&mut out, facts);
     out
-}
-
-/// Appends documentation-derived knob overrides; configurations apply
-/// assignments in order, so these take precedence over the folklore
-/// values (the model trusts documentation it was shown).
-fn push_doc_overrides(out: &mut String, facts: &PromptFacts) {
-    for (knob, value) in &facts.doc_overrides {
-        if facts.mysql {
-            out.push_str(&format!("SET GLOBAL {knob} = '{value}';\n"));
-        } else {
-            out.push_str(&format!("ALTER SYSTEM SET {knob} = '{value}';\n"));
-        }
-    }
 }
 
 fn push_indexes(
@@ -629,30 +575,6 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("CREATE INDEX ON orders (o_orderkey)"), "{out}");
-    }
-
-    #[test]
-    fn documentation_hints_override_folklore() {
-        let llm = SimulatedLlm::new();
-        let p = prompt("PostgreSQL", "lineitem.l_orderkey: orders.o_orderkey")
-            + "\nThe following documentation may be relevant:\n\
-               - On SSD storage, set effective_io_concurrency to 400.\n";
-        let out = llm.complete(&p, 0.0, 0).unwrap();
-        // The override is appended after the folklore value, so it wins
-        // when the configuration is applied in order.
-        let last = out
-            .lines()
-            .rfind(|l| l.contains("effective_io_concurrency"))
-            .unwrap();
-        assert!(last.contains("400"), "{out}");
-    }
-
-    #[test]
-    fn prose_without_knob_names_mines_nothing() {
-        let facts = PromptFacts::parse(
-            "Set the table for dinner. Setting sail to the west.\nmemory: 8GB\n",
-        );
-        assert!(facts.doc_overrides.is_empty(), "{:?}", facts.doc_overrides);
     }
 
     #[test]

@@ -19,21 +19,6 @@ pub use ast::{
 pub use lexer::{tokenize, Token, TokenKind};
 pub use parser::parse_query;
 
-/// Parses a semicolon-separated batch of statements into queries.
-///
-/// Empty statements (stray semicolons, trailing whitespace) are skipped.
-pub fn parse_batch(sql: &str) -> lt_common::Result<Vec<ast::Query>> {
-    let mut out = Vec::new();
-    for stmt in split_statements(sql) {
-        let trimmed = stmt.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        out.push(parse_query(trimmed)?);
-    }
-    Ok(out)
-}
-
 /// Splits SQL text on top-level semicolons, respecting string literals.
 pub fn split_statements(sql: &str) -> Vec<String> {
     let mut stmts = Vec::new();
@@ -67,11 +52,5 @@ mod tests {
         let stmts = split_statements("select ';' from t; select 1");
         assert_eq!(stmts.len(), 2);
         assert!(stmts[0].contains("';'"));
-    }
-
-    #[test]
-    fn parse_batch_skips_empty_statements() {
-        let qs = parse_batch("select a from t;; select b from u;").unwrap();
-        assert_eq!(qs.len(), 2);
     }
 }
