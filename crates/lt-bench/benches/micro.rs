@@ -5,7 +5,8 @@
 //!
 //! Plain `std::time::Instant` timing (the workspace builds with zero
 //! external crates): each case runs a few warmup iterations, then reports
-//! the mean over timed iterations; the cold ILP cases time one solve each.
+//! the mean over timed iterations; the cold ILP cases time one solve each
+//! and print its branch-and-bound node count.
 //!
 //! Usage: `cargo bench -p lt-bench` or
 //! `cargo run --release -p lt-bench --bin` is *not* needed — this is the
@@ -38,22 +39,45 @@ fn bench(name: &str, warmup: usize, iters: usize, mut f: impl FnMut()) {
 }
 
 fn bench_ilp_compression() {
-    let workload = Benchmark::Job.load();
-    let db = SimDb::new(
-        Dbms::Postgres,
-        workload.catalog.clone(),
-        Hardware::p3_2xlarge(),
-        1,
-    );
-    let snippets = extract_snippets(&db, &workload);
-    let compressor = Compressor::new(&workload.catalog);
-    // The compression memo is process-wide and keyed by budget, so only the
-    // first call per budget solves; time exactly that call.
-    for budget in [100usize, 300, 800] {
-        bench(&format!("ilp_compression_job/{budget}/cold"), 0, 1, || {
-            black_box(compressor.compress(black_box(&snippets), budget).unwrap());
-        });
+    use lt_common::obs;
+    // Node counts come from the solver's `ilp.nodes` counter.
+    obs::set_enabled(true);
+    for (slug, benchmark, budgets) in [
+        ("job", Benchmark::Job, &[100usize, 300, 800, 8000][..]),
+        ("tpcds", Benchmark::TpcdsSf1, &[8000][..]),
+    ] {
+        let workload = benchmark.load();
+        let db = SimDb::new(
+            Dbms::Postgres,
+            workload.catalog.clone(),
+            Hardware::p3_2xlarge(),
+            1,
+        );
+        let snippets = extract_snippets(&db, &workload);
+        let compressor = Compressor::new(&workload.catalog);
+        // The compression memo is process-wide and keyed by budget, so only
+        // the first call per budget solves; time exactly that call. 8000 is
+        // the default budget (context window / 16).
+        for &budget in budgets {
+            obs::reset();
+            bench(
+                &format!("ilp_compression_{slug}/{budget}/cold"),
+                0,
+                1,
+                || {
+                    black_box(compressor.compress(black_box(&snippets), budget).unwrap());
+                },
+            );
+            let nodes = obs::snapshot()
+                .counters
+                .iter()
+                .find(|(n, _)| *n == "ilp.nodes")
+                .map_or(0, |(_, v)| *v);
+            println!("    branch-and-bound nodes: {nodes}");
+        }
     }
+    obs::reset();
+    obs::set_enabled(false);
 }
 
 fn bench_dp_scheduler() {

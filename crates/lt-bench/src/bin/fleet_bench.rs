@@ -103,7 +103,7 @@ struct WorkMark {
 impl WorkMark {
     fn now() -> WorkMark {
         let snap = obs::snapshot();
-        let tune = snap.phases().into_iter().find(|p| p.name == "tune");
+        let tune = snap.phases.into_iter().find(|p| p.name == "tune");
         WorkMark {
             tokens: counter_total("llm.prompt_tokens") + counter_total("llm.completion_tokens"),
             tunes: tune.as_ref().map(|p| p.count).unwrap_or(0),

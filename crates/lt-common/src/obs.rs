@@ -11,7 +11,9 @@
 //! off, [`span`] returns an inert guard and [`counter`]/[`gauge`] return
 //! after a single relaxed atomic load — no allocation, no locking — so
 //! instrumented hot paths cost nothing in normal benchmark runs (the micro
-//! benches verify this).
+//! benches verify this). Long-running services call [`enable_metrics`]
+//! instead: counters, gauges and per-phase span totals, without the event
+//! log that grows with every span.
 //!
 //! The registry is process-global and thread-safe (atomics plus short
 //! `Mutex` sections), compatible with the `std::thread::scope` benchmark
@@ -45,15 +47,17 @@ use std::time::Instant;
 
 // ---- enablement -----------------------------------------------------------
 
-/// 0 = not yet read from the environment, 1 = enabled, 2 = disabled.
+/// 0 = not yet read from the environment, 1 = enabled, 2 = disabled,
+/// 3 = metrics only (everything but the event log).
 static ENABLED: AtomicU8 = AtomicU8::new(0);
 
-/// True when tracing is on (`LT_TRACE=1`/`true`/`on`, or [`set_enabled`]).
-/// The environment is consulted once; after that this is one relaxed load.
+/// True when recording is on (`LT_TRACE=1`/`true`/`on`, [`set_enabled`] or
+/// [`enable_metrics`]). The environment is consulted once; after that this
+/// is one relaxed load.
 #[inline]
 pub fn enabled() -> bool {
     match ENABLED.load(Ordering::Relaxed) {
-        1 => true,
+        1 | 3 => true,
         2 => false,
         _ => init_enabled(),
     }
@@ -70,6 +74,15 @@ fn init_enabled() -> bool {
 /// binaries with their own tracing flags).
 pub fn set_enabled(on: bool) {
     ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
+}
+
+/// Turns on counters, gauges and per-phase span totals without the event
+/// log, so memory stays bounded in a process that runs indefinitely. An
+/// event log that is already on (`LT_TRACE=1`, [`set_enabled`]) stays on.
+pub fn enable_metrics() {
+    if !enabled() {
+        let _ = ENABLED.compare_exchange(2, 3, Ordering::Relaxed, Ordering::Relaxed);
+    }
 }
 
 // ---- registry -------------------------------------------------------------
@@ -100,11 +113,20 @@ pub struct SpanEvent {
 
 #[derive(Debug, Default)]
 struct Registry {
-    events: Mutex<Vec<SpanEvent>>,
+    spans: Mutex<SpanLog>,
     counters: Mutex<Vec<(&'static str, u64)>>,
     gauges: Mutex<Vec<(&'static str, f64)>>,
     next_id: AtomicU64,
     next_thread: AtomicU64,
+}
+
+/// Finished spans: per-phase totals always, the events only while the
+/// event log is on. One lock, so both see spans in the same order.
+#[derive(Debug, Default)]
+struct SpanLog {
+    events: Vec<SpanEvent>,
+    /// In order of each phase's first finished span.
+    phases: Vec<PhaseStat>,
 }
 
 fn registry() -> &'static Registry {
@@ -120,8 +142,9 @@ fn anchor() -> Instant {
 }
 
 thread_local! {
-    /// Open-span stack of this thread (ids, innermost last).
-    static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    /// Open-span stack of this thread, innermost last: each span's id and
+    /// the wall seconds of its finished direct children.
+    static SPAN_STACK: RefCell<Vec<(u64, f64)>> = const { RefCell::new(Vec::new()) };
     /// This thread's index in the registry (assigned on first span).
     static THREAD_IDX: RefCell<Option<u64>> = const { RefCell::new(None) };
 }
@@ -167,9 +190,9 @@ pub fn span(name: &'static str) -> SpanGuard {
     let wall_start = start.duration_since(anchor()).as_secs_f64();
     let (parent, depth) = SPAN_STACK.with(|stack| {
         let mut stack = stack.borrow_mut();
-        let parent = stack.last().copied();
+        let parent = stack.last().map(|&(id, _)| id);
         let depth = stack.len() as u32;
-        stack.push(id);
+        stack.push((id, 0.0));
         (parent, depth)
     });
     SpanGuard {
@@ -223,29 +246,55 @@ impl Drop for SpanGuard {
             return;
         };
         let wall_dur = inner.start.elapsed().as_secs_f64();
-        SPAN_STACK.with(|stack| {
+        let children = SPAN_STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
             // Spans are dropped LIFO in correct code; tolerate (and repair)
             // out-of-order drops instead of panicking mid-unwind.
-            if let Some(pos) = stack.iter().rposition(|&id| id == inner.id) {
-                stack.truncate(pos);
+            let pos = stack.iter().rposition(|&(id, _)| id == inner.id);
+            let children = pos.map_or(0.0, |p| stack[p].1);
+            if let Some(p) = pos {
+                stack.truncate(p);
             }
+            match stack.last_mut() {
+                Some((id, sum)) if Some(*id) == inner.parent => *sum += wall_dur,
+                _ => {}
+            }
+            children
         });
         let vt_dur = match (inner.vt_start, inner.vt_end) {
             (Some(s), Some(e)) => Some(e - s),
             _ => None,
         };
-        registry().events.lock().unwrap().push(SpanEvent {
-            id: inner.id,
-            parent: inner.parent,
-            thread: inner.thread,
-            depth: inner.depth,
-            name: inner.name,
-            wall_start: inner.wall_start,
-            wall_dur,
-            vt_start: inner.vt_start,
-            vt_dur,
-        });
+        let wall_self = (wall_dur - children).max(0.0);
+        let mut log = registry().spans.lock().unwrap();
+        match log.phases.iter_mut().find(|s| s.name == inner.name) {
+            Some(s) => {
+                s.count += 1;
+                s.wall += wall_dur;
+                s.wall_self += wall_self;
+                s.vt += vt_dur.unwrap_or(0.0);
+            }
+            None => log.phases.push(PhaseStat {
+                name: inner.name,
+                count: 1,
+                wall: wall_dur,
+                wall_self,
+                vt: vt_dur.unwrap_or(0.0),
+            }),
+        }
+        if ENABLED.load(Ordering::Relaxed) == 1 {
+            log.events.push(SpanEvent {
+                id: inner.id,
+                parent: inner.parent,
+                thread: inner.thread,
+                depth: inner.depth,
+                name: inner.name,
+                wall_start: inner.wall_start,
+                wall_dur,
+                vt_start: inner.vt_start,
+                vt_dur,
+            });
+        }
     }
 }
 
@@ -318,72 +367,48 @@ pub struct Snapshot {
     pub counters: Vec<(&'static str, u64)>,
     /// Gauges, sorted by name.
     pub gauges: Vec<(&'static str, f64)>,
-    /// Completed spans, in completion order.
+    /// Completed spans, in completion order; empty unless the event log is
+    /// on.
     pub events: Vec<SpanEvent>,
+    /// Per-phase totals of every completed span, sorted by exclusive wall
+    /// time (descending).
+    pub phases: Vec<PhaseStat>,
 }
 
 /// Copies the current registry contents.
 pub fn snapshot() -> Snapshot {
     let reg = registry();
-    let events = reg.events.lock().unwrap().clone();
+    let (events, mut phases) = {
+        let log = reg.spans.lock().unwrap();
+        (log.events.clone(), log.phases.clone())
+    };
     let mut counters = reg.counters.lock().unwrap().clone();
     let mut gauges = reg.gauges.lock().unwrap().clone();
     counters.sort_by_key(|(n, _)| *n);
     gauges.sort_by(|a, b| a.0.cmp(b.0));
+    phases.sort_by(|a, b| {
+        b.wall_self
+            .partial_cmp(&a.wall_self)
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
     Snapshot {
         counters,
         gauges,
         events,
+        phases,
     }
 }
 
-/// Clears all events, counters and gauges (used between independent runs
-/// and by tests).
+/// Clears all spans, counters and gauges (used between independent runs
+/// and by tests). A span still open keeps the child time it has accrued.
 pub fn reset() {
     let reg = registry();
-    reg.events.lock().unwrap().clear();
+    *reg.spans.lock().unwrap() = SpanLog::default();
     reg.counters.lock().unwrap().clear();
     reg.gauges.lock().unwrap().clear();
 }
 
 impl Snapshot {
-    /// Per-phase aggregation, sorted by exclusive wall time (descending).
-    pub fn phases(&self) -> Vec<PhaseStat> {
-        use std::collections::HashMap;
-        // Exclusive time: each span's duration minus its direct children's.
-        let mut child_sum: HashMap<u64, f64> = HashMap::new();
-        for ev in &self.events {
-            if let Some(p) = ev.parent {
-                *child_sum.entry(p).or_insert(0.0) += ev.wall_dur;
-            }
-        }
-        let mut stats: Vec<PhaseStat> = Vec::new();
-        for ev in &self.events {
-            let self_dur = (ev.wall_dur - child_sum.get(&ev.id).copied().unwrap_or(0.0)).max(0.0);
-            match stats.iter_mut().find(|s| s.name == ev.name) {
-                Some(s) => {
-                    s.count += 1;
-                    s.wall += ev.wall_dur;
-                    s.wall_self += self_dur;
-                    s.vt += ev.vt_dur.unwrap_or(0.0);
-                }
-                None => stats.push(PhaseStat {
-                    name: ev.name,
-                    count: 1,
-                    wall: ev.wall_dur,
-                    wall_self: self_dur,
-                    vt: ev.vt_dur.unwrap_or(0.0),
-                }),
-            }
-        }
-        stats.sort_by(|a, b| {
-            b.wall_self
-                .partial_cmp(&a.wall_self)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        stats
-    }
-
     /// Renders the end-of-run phase summary table.
     pub fn summary_table(&self) -> String {
         let mut out = String::new();
@@ -391,7 +416,7 @@ impl Snapshot {
             "{:<26} {:>7} {:>12} {:>12} {:>14}\n",
             "phase", "count", "wall [s]", "self [s]", "virtual [s]"
         ));
-        for p in self.phases() {
+        for p in &self.phases {
             out.push_str(&format!(
                 "{:<26} {:>7} {:>12.3} {:>12.3} {:>14.1}\n",
                 p.name, p.count, p.wall, p.wall_self, p.vt
@@ -419,7 +444,7 @@ impl Snapshot {
     /// [`Snapshot::to_json`] sidecar grows with every span.
     pub fn to_metrics_json(&self) -> Value {
         let phases: Vec<Value> = self
-            .phases()
+            .phases
             .iter()
             .map(|p| {
                 Value::Object(vec![
@@ -452,7 +477,10 @@ impl Snapshot {
                 ),
             ),
             ("phases".into(), Value::Array(phases)),
-            ("spans_recorded".into(), Value::from(self.events.len())),
+            (
+                "spans_recorded".into(),
+                Value::from(self.phases.iter().map(|p| p.count).sum::<u64>()),
+            ),
         ])
     }
 
@@ -504,7 +532,7 @@ impl Snapshot {
     /// README's event-log schema).
     pub fn to_json(&self) -> Value {
         let phases: Vec<Value> = self
-            .phases()
+            .phases
             .iter()
             .map(|p| {
                 Value::Object(vec![
@@ -632,9 +660,103 @@ pub(crate) mod tests {
             Some(mids.iter().min_by_key(|m| m.id).unwrap().id)
         );
         // Exclusive times sum to the root's duration.
-        let phases = snap.phases();
+        let phases = &snap.phases;
         let total_self: f64 = phases.iter().map(|p| p.wall_self).sum();
         assert!((total_self - outer.wall_dur).abs() <= 1e-9 + outer.wall_dur * 1e-6);
+        reset();
+    }
+
+    /// The per-phase totals as derived from the event log alone: each
+    /// span's exclusive time is its duration minus its direct children's.
+    fn phases_from_events(events: &[SpanEvent]) -> Vec<PhaseStat> {
+        use std::collections::HashMap;
+        let mut child_sum: HashMap<u64, f64> = HashMap::new();
+        for ev in events {
+            if let Some(p) = ev.parent {
+                *child_sum.entry(p).or_insert(0.0) += ev.wall_dur;
+            }
+        }
+        let mut stats: Vec<PhaseStat> = Vec::new();
+        for ev in events {
+            let self_dur = (ev.wall_dur - child_sum.get(&ev.id).copied().unwrap_or(0.0)).max(0.0);
+            match stats.iter_mut().find(|s| s.name == ev.name) {
+                Some(s) => {
+                    s.count += 1;
+                    s.wall += ev.wall_dur;
+                    s.wall_self += self_dur;
+                    s.vt += ev.vt_dur.unwrap_or(0.0);
+                }
+                None => stats.push(PhaseStat {
+                    name: ev.name,
+                    count: 1,
+                    wall: ev.wall_dur,
+                    wall_self: self_dur,
+                    vt: ev.vt_dur.unwrap_or(0.0),
+                }),
+            }
+        }
+        stats.sort_by(|a, b| {
+            b.wall_self
+                .partial_cmp(&a.wall_self)
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        stats
+    }
+
+    #[test]
+    fn phase_totals_equal_the_event_log_aggregation() {
+        let _guard = test_lock();
+        set_enabled(true);
+        reset();
+        {
+            let mut root = span_vt("root", secs(0.0));
+            for i in 0..3 {
+                let _tune = span("tune");
+                {
+                    let _compress = span("tune.compress");
+                    let _solve = span("ilp.solve");
+                    std::hint::black_box((0..1000 * (i + 1)).sum::<u64>());
+                }
+                let mut select = span_vt("tune.select", secs(i as f64));
+                let _eval = span("eval.config");
+                select.vt_end(secs(i as f64 + 0.5));
+            }
+            root.vt_end(secs(9.0));
+        }
+        set_enabled(false);
+        let snap = snapshot();
+        assert_eq!(snap.events.len(), 1 + 3 * 5);
+        assert_eq!(snap.phases, phases_from_events(&snap.events));
+        reset();
+    }
+
+    #[test]
+    fn metrics_only_keeps_phase_totals_without_an_event_log() {
+        let _guard = test_lock();
+        set_enabled(false);
+        reset();
+        enable_metrics();
+        assert!(enabled());
+        for _ in 0..3 {
+            let _outer = span("serve.session");
+            let _inner = span("tune");
+            counter("sessions", 1);
+        }
+        let snap = snapshot();
+        assert!(snap.events.is_empty(), "metrics only keeps no events");
+        let counts: Vec<(&str, u64)> = snap.phases.iter().map(|p| (p.name, p.count)).collect();
+        assert!(counts.contains(&("serve.session", 3)), "{counts:?}");
+        assert!(counts.contains(&("tune", 3)), "{counts:?}");
+        let doc = snap.to_metrics_json();
+        assert_eq!(doc.get("spans_recorded").and_then(Value::as_i64), Some(6));
+        // An event log that is already on stays on.
+        set_enabled(true);
+        enable_metrics();
+        {
+            let _s = span("traced");
+        }
+        assert_eq!(snapshot().events.len(), 1);
+        set_enabled(false);
         reset();
     }
 

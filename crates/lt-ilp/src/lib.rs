@@ -13,10 +13,18 @@
 //!
 //! * **constraint propagation** — fixing a variable forces others through
 //!   the `≤` constraints (this subsumes the compression model's
-//!   `R ≤ L`, `L ≤ ΣR` and symmetry constraints), and
+//!   `R ≤ L`, `L ≤ ΣR` and symmetry constraints); each node re-checks only
+//!   the rows of the variables fixed since its parent,
 //! * **fractional-knapsack bounds** — for every constraint with
 //!   non-negative coefficients, the LP relaxation restricted to that single
-//!   constraint is a valid upper bound and is computable greedily.
+//!   constraint is a valid upper bound and is computable greedily; a
+//!   subtree is cut when their minimum is within 1e-9 of the incumbent,
+//!   and
+//! * **a set-packing dominance bound** — each unit-coefficient row that
+//!   admits at most one member at 1 (the compression model's
+//!   `R⟨a,b⟩ + R⟨b,a⟩ ≤ 1` pairs) contributes only its best free member. A
+//!   subtree is cut only when no leaf in it could beat the incumbent, so
+//!   the cut never changes which assignment is returned.
 
 pub mod model;
 pub mod solver;

@@ -53,6 +53,9 @@ impl Ilp {
     /// Sets the objective coefficient of one variable.
     pub fn set_objective(&mut self, var: VarId, coeff: f64) -> Result<()> {
         self.check_var(var)?;
+        if !coeff.is_finite() {
+            return Err(LtError::Solver(format!("non-finite objective {coeff}")));
+        }
         self.objective[var] = coeff;
         Ok(())
     }
@@ -175,6 +178,17 @@ mod tests {
         assert!(m.set_objective(1, 1.0).is_err());
         assert!(m.add_le(&[(1, 1.0)], 0.0).is_err());
         assert!(m.add_le(&[(0, f64::NAN)], 0.0).is_err());
+    }
+
+    #[test]
+    fn non_finite_objectives_are_errors() {
+        let mut m = Ilp::new(1);
+        for coeff in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(m.set_objective(0, coeff).is_err(), "{coeff} accepted");
+        }
+        assert_eq!(m.objective(), &[0.0]);
+        m.set_objective(0, -2.5).unwrap();
+        assert_eq!(m.objective(), &[-2.5]);
     }
 
     #[test]

@@ -32,10 +32,41 @@ pub struct Solution {
     pub nodes: u64,
 }
 
+/// A constraint with no negative coefficient, prepared for its
+/// fractional-knapsack bound.
+struct Knapsack {
+    /// Index into the model's constraints.
+    row: usize,
+    /// `(variable, weight)` of every positive-objective variable with a
+    /// positive summed weight in the row, by descending value/weight (ties
+    /// in index order).
+    items: Vec<(VarId, f64)>,
+    /// The same variables in ascending order.
+    members: Vec<VarId>,
+}
+
 struct Search<'a> {
     model: &'a Ilp,
     /// Branching order: variables sorted by objective density.
     order: Vec<VarId>,
+    /// Current partial assignment.
+    fixed: Vec<Option<bool>>,
+    /// Variables fixed by propagation, in fixing order; each node undoes
+    /// its own suffix on return.
+    trail: Vec<VarId>,
+    /// Indices of the constraints each variable appears in.
+    rows_of: Vec<Vec<usize>>,
+    /// Rows [`Search::propagate`] still has to check, and a flag per row
+    /// marking membership.
+    queue: Vec<usize>,
+    queued: Vec<bool>,
+    /// Disjoint unit-coefficient rows of which at most one member can be 1.
+    packing: Vec<Vec<VarId>>,
+    /// Positive-objective variables outside every packing row.
+    unpacked: Vec<VarId>,
+    /// Covers the rounding of [`Search::packing_bound`] and of leaf sums.
+    margin: f64,
+    knapsacks: Vec<Knapsack>,
     best_values: Vec<bool>,
     best_objective: f64,
     nodes: u64,
@@ -71,16 +102,7 @@ pub fn solve(model: &Ilp, options: SolveOptions) -> Result<Solution> {
         db.partial_cmp(&da).unwrap_or(std::cmp::Ordering::Equal)
     });
 
-    let mut search = Search {
-        model,
-        order,
-        best_values: vec![false; n],
-        best_objective: f64::NEG_INFINITY,
-        nodes: 0,
-        max_nodes: options.max_nodes,
-        exhausted: false,
-        bound_prunes: 0,
-    };
+    let mut search = Search::new(model, order, options.max_nodes);
     // Seed the incumbent with the all-false assignment when feasible, so an
     // exhausted node budget still returns a valid solution.
     let all_false = vec![false; n];
@@ -89,8 +111,7 @@ pub fn solve(model: &Ilp, options: SolveOptions) -> Result<Solution> {
         search.best_values = all_false;
     }
 
-    let mut fixed: Vec<Option<bool>> = vec![None; n];
-    search.branch(&mut fixed, 0);
+    search.branch(None, 0);
 
     // Accumulated locally during the search, recorded once per solve: the
     // per-node path must not touch the registry lock.
@@ -109,113 +130,213 @@ pub fn solve(model: &Ilp, options: SolveOptions) -> Result<Solution> {
     })
 }
 
-impl Search<'_> {
-    fn branch(&mut self, fixed: &mut Vec<Option<bool>>, depth: usize) {
+impl<'a> Search<'a> {
+    fn new(model: &'a Ilp, order: Vec<VarId>, max_nodes: u64) -> Self {
+        let n = model.num_vars();
+        let obj = model.objective();
+        let mut rows_of: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (row, con) in model.constraints().iter().enumerate() {
+            for &(v, _) in &con.coeffs {
+                if rows_of[v].last() != Some(&row) {
+                    rows_of[v].push(row);
+                }
+            }
+        }
+        // Rows `Σ x ≤ rhs` with unit coefficients and rhs < 2 admit at most
+        // one member at 1. Each variable joins at most one such row.
+        let mut packed = vec![false; n];
+        let mut packing: Vec<Vec<VarId>> = Vec::new();
+        for con in model.constraints() {
+            if con.coeffs.is_empty()
+                || con.rhs + 1e-9 >= 2.0
+                || con.coeffs.iter().any(|&(v, a)| a != 1.0 || packed[v])
+            {
+                continue;
+            }
+            let mut members: Vec<VarId> = con.coeffs.iter().map(|&(v, _)| v).collect();
+            members.sort_unstable();
+            members.dedup();
+            for &v in &members {
+                packed[v] = true;
+            }
+            packing.push(members);
+        }
+        let unpacked = (0..n).filter(|&v| !packed[v] && obj[v] > 0.0).collect();
+        // A sum of at most n objective terms is off by less than
+        // (n-1)·ε/2·Σ|c|; the margin covers the bound's and the leaf's.
+        let margin = n as f64 * f64::EPSILON * obj.iter().map(|c| c.abs()).sum::<f64>();
+        let knapsacks = model
+            .constraints()
+            .iter()
+            .enumerate()
+            .filter(|(_, con)| !con.coeffs.iter().any(|&(_, a)| a < 0.0))
+            .map(|(row, con)| knapsack(row, con, obj))
+            .collect();
+        Search {
+            model,
+            order,
+            fixed: vec![None; n],
+            trail: Vec::new(),
+            rows_of,
+            queue: Vec::new(),
+            queued: vec![false; model.constraints().len()],
+            packing,
+            unpacked,
+            margin,
+            knapsacks,
+            best_values: vec![false; n],
+            best_objective: f64::NEG_INFINITY,
+            nodes: 0,
+            max_nodes,
+            exhausted: false,
+            bound_prunes: 0,
+        }
+    }
+
+    /// Explores the subtree below the current assignment; `var` is the
+    /// variable the caller just fixed (`None` at the root).
+    fn branch(&mut self, var: Option<VarId>, depth: usize) {
         self.nodes += 1;
         if self.nodes > self.max_nodes {
             self.exhausted = true;
             return;
         }
-        // Feasibility: every constraint must still be satisfiable.
-        for con in self.model.constraints() {
-            if con.min_activity(fixed) > con.rhs + 1e-9 {
-                return;
-            }
-        }
-        // Propagate forced variables to a fixpoint.
-        let mut trail: Vec<VarId> = Vec::new();
-        if !self.propagate(fixed, &mut trail) {
-            for v in trail {
-                fixed[v] = None;
-            }
-            return;
-        }
-        // Bound.
-        if self.upper_bound(fixed) <= self.best_objective + 1e-9 {
-            self.bound_prunes += 1;
-            for v in trail {
-                fixed[v] = None;
-            }
-            return;
-        }
-        // Find the next unfixed variable in branching order.
-        let next = self.order[depth..]
-            .iter()
-            .copied()
-            .find(|&v| fixed[v].is_none());
-        match next {
-            None => {
-                let values: Vec<bool> = fixed.iter().map(|f| f.unwrap_or(false)).collect();
-                debug_assert!(self.model.is_feasible(&values));
-                let obj = self.model.objective_value(&values);
-                if obj > self.best_objective {
-                    self.best_objective = obj;
-                    self.best_values = values;
-                }
-            }
-            Some(v) => {
-                // The `depth` cursor only ever moves forward; recompute the
-                // position of v in order for the recursive call.
-                let pos = self.order[depth..]
-                    .iter()
-                    .position(|&o| o == v)
-                    .map(|p| depth + p)
-                    .unwrap_or(depth);
-                for value in [true, false] {
-                    fixed[v] = Some(value);
-                    self.branch(fixed, pos + 1);
-                    if self.exhausted {
-                        break;
+        let mark = self.trail.len();
+        if self.propagate(var) && !self.pruned() {
+            // Find the next unfixed variable in branching order.
+            match self.order[depth..]
+                .iter()
+                .position(|&v| self.fixed[v].is_none())
+            {
+                None => self.leaf(),
+                Some(p) => {
+                    let v = self.order[depth + p];
+                    for value in [true, false] {
+                        self.fixed[v] = Some(value);
+                        self.branch(Some(v), depth + p + 1);
+                        if self.exhausted {
+                            break;
+                        }
                     }
+                    self.fixed[v] = None;
                 }
-                fixed[v] = None;
             }
         }
-        for v in trail {
-            fixed[v] = None;
+        for v in self.trail.drain(mark..) {
+            self.fixed[v] = None;
         }
     }
 
-    /// Unit-propagation over `≤` constraints: a free variable whose
+    /// Unit propagation over `≤` constraints: a free variable whose
     /// inclusion (or exclusion) makes some constraint unsatisfiable is
     /// forced to the other value. Returns false on contradiction.
-    fn propagate(&self, fixed: &mut [Option<bool>], trail: &mut Vec<VarId>) -> bool {
-        loop {
-            let mut changed = false;
-            for con in self.model.constraints() {
-                let min_act = con.min_activity(fixed);
-                if min_act > con.rhs + 1e-9 {
-                    return false;
-                }
-                for &(v, a) in &con.coeffs {
-                    if fixed[v].is_some() {
-                        continue;
-                    }
-                    if a > 0.0 && min_act - a.min(0.0) + a > con.rhs + 1e-9 {
-                        // Setting v=1 would violate the constraint.
-                        fixed[v] = Some(false);
-                        trail.push(v);
-                        changed = true;
-                    } else if a < 0.0 && min_act - a > con.rhs + 1e-9 {
-                        // Setting v=0 (removing its negative contribution)
-                        // would violate: v must be 1.
-                        fixed[v] = Some(true);
-                        trail.push(v);
-                        changed = true;
-                    }
-                }
+    ///
+    /// The parent node is already a fixpoint, so only the rows of `var`
+    /// (every row at the root) and then those of each newly forced variable
+    /// can change; each is queued once until it is checked. Fixing a
+    /// variable only raises a row's minimum activity, so the forcing rules
+    /// are monotone and this reaches the same fixpoint as sweeping every row
+    /// until nothing changes.
+    fn propagate(&mut self, var: Option<VarId>) -> bool {
+        let rows = self.model.constraints();
+        let mut next = self.trail.len();
+        match var {
+            Some(v) => self.enqueue_rows_of(v),
+            None => {
+                self.queue.extend(0..rows.len());
+                self.queued.fill(true);
             }
-            if !changed {
-                return true;
+        }
+        let mut ok = true;
+        let mut head = 0;
+        while head < self.queue.len() {
+            let r = self.queue[head];
+            head += 1;
+            ok = ok && tighten(&rows[r], &mut self.fixed, &mut self.trail);
+            // Forcing a member leaves the row's own activity unchanged, so
+            // the row keeps its flag while its forced variables enqueue
+            // their other rows.
+            while ok && next < self.trail.len() {
+                self.enqueue_rows_of(self.trail[next]);
+                next += 1;
+            }
+            self.queued[r] = false;
+        }
+        self.queue.clear();
+        ok
+    }
+
+    fn enqueue_rows_of(&mut self, v: VarId) {
+        for &r in &self.rows_of[v] {
+            if !self.queued[r] {
+                self.queued[r] = true;
+                self.queue.push(r);
             }
         }
     }
 
-    /// Upper bound on the best completion of the current partial
-    /// assignment: fixed value + min over single-constraint fractional
-    /// knapsack relaxations (falling back to the unconstrained sum).
-    fn upper_bound(&self, fixed: &[Option<bool>]) -> f64 {
+    /// Whether the subtree below the current node can be skipped.
+    fn pruned(&mut self) -> bool {
+        // Dominance: no leaf below passes the strict `obj > best` test in
+        // `leaf`, so skipping leaves every incumbent as it was.
+        let dominated = self.packing_bound() + self.margin <= self.best_objective;
+        if dominated || self.upper_bound_at_most(self.best_objective + 1e-9) {
+            self.bound_prunes += 1;
+            return true;
+        }
+        false
+    }
+
+    fn leaf(&mut self) {
+        let values: Vec<bool> = self.fixed.iter().map(|f| f.unwrap_or(false)).collect();
+        debug_assert!(self.model.is_feasible(&values));
+        let obj = self.model.objective_value(&values);
+        if obj > self.best_objective {
+            self.best_objective = obj;
+            self.best_values = values;
+        }
+    }
+
+    /// Set-packing bound on the best completion: the fixed value, plus the
+    /// best free member of each packing row with no member at 1, plus every
+    /// other free positive variable.
+    fn packing_bound(&self) -> f64 {
         let obj = self.model.objective();
+        let fixed = &self.fixed;
+        let mut bound: f64 = (0..obj.len())
+            .filter(|&v| fixed[v] == Some(true))
+            .map(|v| obj[v])
+            .sum();
+        for row in &self.packing {
+            if row.iter().any(|&v| fixed[v] == Some(true)) {
+                continue;
+            }
+            bound += row
+                .iter()
+                .filter(|&&v| fixed[v].is_none())
+                .map(|&v| obj[v])
+                .fold(0.0, f64::max);
+        }
+        bound
+            + self
+                .unpacked
+                .iter()
+                .filter(|&&v| fixed[v].is_none())
+                .map(|&v| obj[v])
+                .sum::<f64>()
+    }
+
+    /// Whether the upper bound on the best completion of the current
+    /// partial assignment is at most `limit`. The bound is the fixed value
+    /// plus the minimum over single-constraint fractional-knapsack
+    /// relaxations (falling back to the unconstrained sum).
+    ///
+    /// Near-ties within the 1e-9 prune tolerance are decided by this bound,
+    /// so each candidate must stay bit-identical: every sum runs in the
+    /// order of a plain pass over the whole model.
+    fn upper_bound_at_most(&self, limit: f64) -> bool {
+        let obj = self.model.objective();
+        let fixed = &self.fixed;
         let fixed_value: f64 = (0..obj.len())
             .filter(|&v| fixed[v] == Some(true))
             .map(|v| obj[v])
@@ -224,72 +345,125 @@ impl Search<'_> {
             .filter(|&v| fixed[v].is_none() && obj[v] > 0.0)
             .collect();
         let unconstrained: f64 = free_positive.iter().map(|&v| obj[v]).sum();
-        let mut best = fixed_value + unconstrained;
-        for con in self.model.constraints() {
-            if let Some(b) = knapsack_bound(con, fixed, obj, &free_positive) {
-                best = best.min(fixed_value + b);
-            }
-        }
-        best
+        fixed_value + unconstrained <= limit
+            || self.knapsacks.iter().any(|k| {
+                let con = &self.model.constraints()[k.row];
+                fixed_value + k.bound(con, fixed, obj, &free_positive) <= limit
+            })
     }
 }
 
-/// Fractional-knapsack bound for one constraint, valid when every
-/// coefficient of the constraint is non-negative. Free positive-objective
-/// variables *not* in the constraint contribute fully.
-fn knapsack_bound(
-    con: &Constraint,
-    fixed: &[Option<bool>],
-    obj: &[f64],
-    free_positive: &[VarId],
-) -> Option<f64> {
-    if con.coeffs.iter().any(|&(_, a)| a < 0.0) {
-        return None;
+/// Checks one row under the current fixings and forces every free variable
+/// it decides, recording each on `trail` (see [`Search::propagate`]).
+/// Returns false when the row can no longer be satisfied.
+fn tighten(con: &Constraint, fixed: &mut [Option<bool>], trail: &mut Vec<VarId>) -> bool {
+    let min_act = con.min_activity(fixed);
+    if min_act > con.rhs + 1e-9 {
+        return false;
     }
-    let used: f64 = con
+    for &(v, a) in &con.coeffs {
+        if fixed[v].is_some() {
+            continue;
+        }
+        if a > 0.0 && min_act - a.min(0.0) + a > con.rhs + 1e-9 {
+            // Setting v=1 would violate the constraint.
+            fixed[v] = Some(false);
+            trail.push(v);
+        } else if a < 0.0 && min_act - a > con.rhs + 1e-9 {
+            // Setting v=0 (removing its negative contribution)
+            // would violate: v must be 1.
+            fixed[v] = Some(true);
+            trail.push(v);
+        }
+    }
+    true
+}
+
+/// Prepares the fractional-knapsack bound of a constraint whose
+/// coefficients are all non-negative.
+fn knapsack(row: usize, con: &Constraint, obj: &[f64]) -> Knapsack {
+    let mut members: Vec<VarId> = con
         .coeffs
         .iter()
-        .filter(|&&(v, _)| fixed[v] == Some(true))
-        .map(|&(_, a)| a)
-        .sum();
-    let capacity = con.rhs - used;
-    if capacity < -1e-9 {
-        return Some(f64::NEG_INFINITY);
-    }
-    // Weight of each free positive variable in this constraint (0 when the
-    // variable does not appear).
-    let mut items: Vec<(f64, f64)> = Vec::new(); // (value, weight)
-    let mut outside = 0.0;
-    for &v in free_positive {
-        let w: f64 = con
-            .coeffs
-            .iter()
-            .filter(|&&(cv, _)| cv == v)
-            .map(|&(_, a)| a)
-            .sum();
-        if w <= 0.0 {
-            outside += obj[v];
-        } else {
-            items.push((obj[v], w));
-        }
-    }
+        .map(|&(v, _)| v)
+        .filter(|&v| obj[v] > 0.0)
+        .collect();
+    members.sort_unstable();
+    members.dedup();
+    let mut items: Vec<(VarId, f64)> = members
+        .iter()
+        .map(|&v| {
+            let w: f64 = con
+                .coeffs
+                .iter()
+                .filter(|&&(cv, _)| cv == v)
+                .map(|&(_, a)| a)
+                .sum();
+            (v, w)
+        })
+        .filter(|&(_, w)| w > 0.0)
+        .collect();
+    members = items.iter().map(|&(v, _)| v).collect();
+    // Ratios of positive finite values are never NaN, so this stable sort is
+    // a total order and commutes with dropping the fixed variables later.
     items.sort_by(|a, b| {
-        (b.0 / b.1)
-            .partial_cmp(&(a.0 / a.1))
+        (obj[b.0] / b.1)
+            .partial_cmp(&(obj[a.0] / a.1))
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    let mut remaining = capacity.max(0.0);
-    let mut bound = outside;
-    for (value, weight) in items {
-        if weight <= remaining {
-            bound += value;
-            remaining -= weight;
-        } else {
-            bound += value * (remaining / weight);
-            break;
-        }
+    Knapsack {
+        row,
+        items,
+        members,
     }
-    Some(bound)
+}
+
+impl Knapsack {
+    /// Fractional-knapsack bound of the row. Free positive-objective
+    /// variables *not* in the row contribute fully, summed in the index
+    /// order of `free_positive`.
+    fn bound(
+        &self,
+        con: &Constraint,
+        fixed: &[Option<bool>],
+        obj: &[f64],
+        free_positive: &[VarId],
+    ) -> f64 {
+        let used: f64 = con
+            .coeffs
+            .iter()
+            .filter(|&&(v, _)| fixed[v] == Some(true))
+            .map(|&(_, a)| a)
+            .sum();
+        let capacity = con.rhs - used;
+        if capacity < -1e-9 {
+            return f64::NEG_INFINITY;
+        }
+        // With every item fixed this bound equals the unconstrained one,
+        // which the caller checks first.
+        if self.items.iter().all(|&(v, _)| fixed[v].is_some()) {
+            return f64::INFINITY;
+        }
+        let mut bound = free_positive
+            .iter()
+            .filter(|v| self.members.binary_search(v).is_err())
+            .fold(0.0, |outside, &v| outside + obj[v]);
+        let mut remaining = capacity.max(0.0);
+        for &(v, weight) in &self.items {
+            if fixed[v].is_some() {
+                continue;
+            }
+            let value = obj[v];
+            if weight <= remaining {
+                bound += value;
+                remaining -= weight;
+            } else {
+                bound += value * (remaining / weight);
+                break;
+            }
+        }
+        bound
+    }
 }
 
 #[cfg(test)]

@@ -223,7 +223,7 @@ pub fn start_coordinator(config: CoordinatorConfig) -> io::Result<CoordinatorHan
             "coordinator needs at least one shard",
         ));
     }
-    obs::set_enabled(true);
+    obs::enable_metrics();
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let ids: Vec<u32> = config.shards.iter().map(|s| s.id).collect();

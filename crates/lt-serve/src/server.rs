@@ -172,8 +172,9 @@ impl Drop for ServerHandle {
 /// Binds, spawns the accept loop and worker pool, and returns immediately.
 pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
     // The service is observability-on by default: /metrics is part of the
-    // API contract, not an opt-in debug facility.
-    obs::set_enabled(true);
+    // API contract, not an opt-in debug facility. Metrics only, unless
+    // tracing is on: the event log would grow with every span.
+    obs::enable_metrics();
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let registry = SessionRegistry::new();
