@@ -50,7 +50,9 @@ serve_shard.smoke.json BENCH_crash.smoke.json BENCH_store.smoke.json \
 BENCH_synth.smoke.json"
 
 # Trace sidecars the traced pass writes (results/<name>.trace.json).
-TRACES="fig6 table4 fig4 BENCH_drift BENCH_fleet BENCH_store BENCH_synth"
+# fleet_bench writes none: its sessions run on server worker threads, whose
+# spans are roots of their own until spans carry their parent across threads.
+TRACES="fig6 table4 fig4 BENCH_drift BENCH_store BENCH_synth"
 
 # determinism_pass THREADS SHARDS: every bench driver, once.
 determinism_pass() {

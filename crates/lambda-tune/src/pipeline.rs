@@ -154,12 +154,6 @@ pub struct LambdaTune {
     pub observer: Option<Arc<dyn TuneObserver>>,
     /// Optional warm-start material from a previous run; see [`WarmStart`].
     pub warm_start: Option<WarmStart>,
-    /// LLM sampling batch size: seeds are fetched in chunks of this size
-    /// through [`LlmClient::complete_batch`], which charges the prompt once
-    /// per chunk instead of once per sample. `0`/`1` (the default) keeps
-    /// the historical one-call-per-sample behaviour. Any value yields
-    /// byte-identical configurations — only token accounting changes.
-    pub sample_batch: usize,
 }
 
 impl std::fmt::Debug for LambdaTune {
@@ -171,7 +165,6 @@ impl std::fmt::Debug for LambdaTune {
                 &self.observer.as_ref().map(|_| "<dyn TuneObserver>"),
             )
             .field("warm_start", &self.warm_start)
-            .field("sample_batch", &self.sample_batch)
             .finish()
     }
 }
@@ -196,12 +189,6 @@ impl LambdaTune {
     /// Seeds this run with material from a previous one; see [`WarmStart`].
     pub fn with_warm_start(mut self, warm: WarmStart) -> Self {
         self.warm_start = Some(warm);
-        self
-    }
-
-    /// Sets the LLM sampling batch size (see the field docs).
-    pub fn with_sample_batch(mut self, batch: usize) -> Self {
-        self.sample_batch = batch;
         self
     }
 
@@ -303,34 +290,14 @@ impl LambdaTune {
                 }
             }
         }
-        // Sampling is pure in (prompt, temperature, per-candidate seed), so
-        // the batch size cannot change which configurations come back — and
-        // the clock is charged `llm_latency` per candidate however the
-        // sample was fetched, so the selector's virtual timeline (and with
-        // it every trajectory point) is byte-identical across batch sizes.
-        let batch = self.sample_batch.max(1);
-        let mut prefetched: std::collections::HashMap<u64, String> =
-            std::collections::HashMap::new();
         for i in configs.len()..opts.num_configs {
             if cancelled() {
                 sampling_cancelled = true;
                 break;
             }
             let seed = derive_seed(opts.seed, i as u64);
-            // At batch sizes > 1 the chunk covering this candidate is
-            // fetched up front with one metered call (prompt charged once).
-            if batch > 1 && !prefetched.contains_key(&seed) {
-                let chunk: Vec<u64> = (i..(i + batch).min(opts.num_configs))
-                    .map(|j| derive_seed(opts.seed, j as u64))
-                    .collect();
-                let fresh = llm.complete_batch(&prompt, opts.temperature, &chunk)?;
-                prefetched.extend(chunk.into_iter().zip(fresh));
-            }
             let mut sample_span = obs::span_vt("tune.llm_sample", db.now());
-            let response = match prefetched.remove(&seed) {
-                Some(response) => response,
-                None => llm.complete(&prompt, opts.temperature, seed)?,
-            };
+            let response = llm.complete(&prompt, opts.temperature, seed)?;
             db.clock_advance(opts.llm_latency);
             sample_span.vt_end(db.now());
             drop(sample_span);
@@ -741,38 +708,6 @@ mod tests {
         assert_eq!(result.llm_usage.calls, 0, "fully seeded: no sampling");
         assert!(result.configs[0].index_specs().is_empty());
         assert!(result.configs[0].knob_changes().next().is_some());
-    }
-
-    #[test]
-    fn batched_sampling_matches_unbatched_at_every_batch_size() {
-        let (mut db, w, llm) = setup();
-        let plain = LambdaTune::default().tune(&mut db, &w, &llm).unwrap();
-        for batch in [2, 3, 5, 8] {
-            let (mut db2, _, llm2) = setup();
-            let batched = LambdaTune::default()
-                .with_sample_batch(batch)
-                .tune(&mut db2, &w, &llm2)
-                .unwrap();
-            let scripts = |r: &TuneResult| -> Vec<String> {
-                r.configs
-                    .iter()
-                    .map(|c| c.to_script(Dbms::Postgres, &w.catalog))
-                    .collect()
-            };
-            assert_eq!(scripts(&plain), scripts(&batched), "batch {batch}");
-            assert_eq!(plain.best_index, batched.best_index, "batch {batch}");
-            assert_eq!(plain.best_time, batched.best_time, "batch {batch}");
-            assert_eq!(plain.trajectory, batched.trajectory, "batch {batch}");
-            // The saving: one metered call (and one prompt charge) per
-            // chunk instead of per sample.
-            let chunks = 5usize.div_ceil(batch) as u64;
-            assert_eq!(batched.llm_usage.calls, chunks, "batch {batch}");
-            assert!(batched.llm_usage.prompt_tokens < plain.llm_usage.prompt_tokens);
-            assert_eq!(
-                batched.llm_usage.completion_tokens,
-                plain.llm_usage.completion_tokens
-            );
-        }
     }
 
     #[test]

@@ -107,8 +107,7 @@ fn bench_optimizer() {
             1,
         );
         // Cold: every query is extracted and planned by the optimizer
-        // itself, bypassing every plan-cache tier (a fresh SimDb would
-        // still hit the process-wide shared tier after the warmup).
+        // itself, bypassing the plan cache.
         let knobs = KnobSet::defaults(Dbms::Postgres);
         let indexes = IndexCatalog::new();
         let stats_seed = derive_seed(1, 1);

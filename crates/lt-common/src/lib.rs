@@ -23,3 +23,13 @@ pub use ids::{ColumnId, IndexId, QueryId, TableId};
 pub use lru::LruMap;
 pub use rng::{derive_seed, seeded_rng, Rng};
 pub use time::{secs, Secs, VirtualClock};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, recovering the guard when another thread panicked while
+/// holding it. Only for data that every update leaves valid at every step,
+/// such as counters and append-only logs: there one panic must not turn
+/// every later lock of the same data into a panic too.
+pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

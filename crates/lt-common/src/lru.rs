@@ -1,7 +1,7 @@
 //! The bounded LRU map and the thread-safe [`Memo`] on top of it: the one
 //! cache type behind every memo tier in the workspace (the per-session plan
-//! and predicate caches, the process-wide shared plan tier, the ILP
-//! compression memo, the LLM sample cache and the fleet tuning cache).
+//! and predicate caches, the ILP compression memo and the fleet tuning
+//! cache).
 //!
 //! Each tier is a [`Memo`] with a fixed capacity and its own obs counter
 //! names for hits, misses and evictions. The map underneath is a plain
@@ -179,14 +179,6 @@ impl<K: Clone + Eq + Hash, V> LruMap<K, V> {
         self.head = NIL;
         self.tail = NIL;
     }
-
-    /// Iterates over `(key, value)` pairs in unspecified order, without
-    /// touching recency. Used by nearest-neighbor scans over small caches.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.index
-            .iter()
-            .map(|(k, &slot)| (k, &self.entry(slot).value))
-    }
 }
 
 /// Obs counter names of one memo tier.
@@ -285,13 +277,6 @@ impl<K: Clone + Eq + Hash, V: Clone> Memo<K, V> {
     /// True when `key` is cached, without counting or touching recency.
     pub fn contains(&self, key: &K) -> bool {
         self.map().contains(key)
-    }
-
-    /// Every cached `(key, value)` pair, in unspecified order, without
-    /// counting or touching recency.
-    pub fn entries(&self) -> Vec<(K, V)> {
-        let map = self.map();
-        map.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
     }
 
     /// Lookups answered from this memo since construction.
@@ -441,6 +426,7 @@ mod tests {
         assert_eq!(memo.try_get_or_insert_with(1, || Err("no")), Err("no"));
         assert!(memo.is_empty());
         assert_eq!(memo.try_get_or_insert_with(1, || Ok::<_, ()>(7)), Ok(7));
-        assert_eq!(memo.entries(), vec![(1, 7)]);
+        assert_eq!(memo.len(), 1);
+        assert_eq!(memo.get(&1), Some(7));
     }
 }

@@ -266,7 +266,7 @@ impl Drop for SpanGuard {
             _ => None,
         };
         let wall_self = (wall_dur - children).max(0.0);
-        let mut log = registry().spans.lock().unwrap();
+        let mut log = crate::lock(&registry().spans);
         match log.phases.iter_mut().find(|s| s.name == inner.name) {
             Some(s) => {
                 s.count += 1;
@@ -320,7 +320,7 @@ pub fn counter(name: &'static str, delta: u64) {
     if !enabled() {
         return;
     }
-    let mut counters = registry().counters.lock().unwrap();
+    let mut counters = crate::lock(&registry().counters);
     match counters.iter_mut().find(|(n, _)| *n == name) {
         Some((_, v)) => *v += delta,
         None => counters.push((name, delta)),
@@ -333,7 +333,7 @@ pub fn gauge(name: &'static str, value: f64) {
     if !enabled() {
         return;
     }
-    let mut gauges = registry().gauges.lock().unwrap();
+    let mut gauges = crate::lock(&registry().gauges);
     match gauges.iter_mut().find(|(n, _)| *n == name) {
         Some((_, v)) => *v = value,
         None => gauges.push((name, value)),
@@ -379,11 +379,11 @@ pub struct Snapshot {
 pub fn snapshot() -> Snapshot {
     let reg = registry();
     let (events, mut phases) = {
-        let log = reg.spans.lock().unwrap();
+        let log = crate::lock(&reg.spans);
         (log.events.clone(), log.phases.clone())
     };
-    let mut counters = reg.counters.lock().unwrap().clone();
-    let mut gauges = reg.gauges.lock().unwrap().clone();
+    let mut counters = crate::lock(&reg.counters).clone();
+    let mut gauges = crate::lock(&reg.gauges).clone();
     counters.sort_by_key(|(n, _)| *n);
     gauges.sort_by(|a, b| a.0.cmp(b.0));
     phases.sort_by(|a, b| {
@@ -403,9 +403,9 @@ pub fn snapshot() -> Snapshot {
 /// and by tests). A span still open keeps the child time it has accrued.
 pub fn reset() {
     let reg = registry();
-    *reg.spans.lock().unwrap() = SpanLog::default();
-    reg.counters.lock().unwrap().clear();
-    reg.gauges.lock().unwrap().clear();
+    *crate::lock(&reg.spans) = SpanLog::default();
+    crate::lock(&reg.counters).clear();
+    crate::lock(&reg.gauges).clear();
 }
 
 impl Snapshot {
@@ -605,10 +605,26 @@ pub(crate) mod tests {
     /// this lock (cargo runs `#[test]`s on concurrent threads).
     pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
-        match LOCK.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        crate::lock(&LOCK)
+    }
+
+    #[test]
+    fn a_poisoned_registry_lock_is_recovered() {
+        let _guard = test_lock();
+        set_enabled(true);
+        reset();
+        let poisoned = std::panic::catch_unwind(|| {
+            let _held = registry().counters.lock().unwrap();
+            panic!("poisons the counters lock");
+        });
+        assert!(poisoned.is_err());
+        assert!(registry().counters.is_poisoned());
+        counter("after.poison", 2);
+        drop(span("after.poison.span"));
+        let snap = snapshot();
+        set_enabled(false);
+        assert!(snap.counters.contains(&("after.poison", 2)));
+        assert!(snap.phases.iter().any(|p| p.name == "after.poison.span"));
     }
 
     #[test]

@@ -19,16 +19,6 @@
 //! configuration re-hits the old entries, which is exactly the selector's
 //! access pattern.
 //!
-//! Under fleet load many sessions tune against the same catalog with the
-//! same configurations, but each owns a private cache that starts cold. A
-//! process-wide **shared tier** therefore sits behind every session's plans
-//! for the current configuration: a local miss consults it before planning,
-//! and fresh plans are published back (counters `fleet.plan_shared_*`).
-//! Its key widens [`PlanKey`] by the catalog fingerprint and the statistics
-//! seed — two sessions with different seeds see different misestimation
-//! patterns and therefore different plans for the same query. What-if
-//! plans ([`PlanCache::plan_what_if`]) stay session-local.
-//!
 //! Interior mutability keeps the read paths usable from `&self` methods
 //! (`explain`, what-if planning).
 
@@ -42,16 +32,13 @@ use crate::stats::{extract, QueryPredicates};
 use lt_common::lru::{Counters, Memo};
 use lt_common::Fingerprint;
 use lt_sql::ast::Query;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Bound on cached plans (and predicate sets) per session. Sized to hold
 /// every (query, configuration) pair a full benchmark-matrix selector run
 /// touches with room to spare; under fleet load many sessions live in one
 /// process, so each still needs a ceiling.
 const PLAN_CAP: usize = 65_536;
-
-/// Bound on the process-wide shared plan tier.
-const SHARED_CAP: usize = 16_384;
 
 /// Cache key: the complete planning context of one query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,32 +49,6 @@ pub struct PlanKey {
     pub knobs: Fingerprint,
     /// `IndexCatalog::fingerprint()` of the index set planned against.
     pub indexes: Fingerprint,
-}
-
-/// Key of one shared plan: the session-local [`PlanKey`] widened by the
-/// facts that vary *between* sessions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct SharedKey {
-    /// `Catalog::fingerprint()` of the schema + statistics planned against.
-    catalog: Fingerprint,
-    /// Statistics seed: it perturbs the optimizer's estimates, so plans
-    /// are only shareable at equal seeds.
-    stats_seed: u64,
-    key: PlanKey,
-}
-
-fn shared_plans() -> &'static Memo<SharedKey, Arc<Plan>> {
-    static TIER: OnceLock<Memo<SharedKey, Arc<Plan>>> = OnceLock::new();
-    TIER.get_or_init(|| {
-        Memo::new(
-            SHARED_CAP,
-            Counters {
-                hit: "fleet.plan_shared_hit",
-                miss: "fleet.plan_shared_miss",
-                evict: "fleet.plan_shared_evict",
-            },
-        )
-    })
 }
 
 /// Hit/miss counters, snapshot via [`PlanCache::stats`].
@@ -190,10 +151,10 @@ impl PlanCache {
     }
 
     /// Plans `query` (fingerprinted as `tag`, see
-    /// [`query_tag`](crate::db::query_tag)) under the target's *current*
-    /// `knobs` and `indexes`, through the session cache and then the shared
-    /// tier. `knobs_fp` is `knobs.planner_fingerprint()`, which targets keep
-    /// precomputed so the hot execute path doesn't rehash the knob set.
+    /// [`query_tag`](crate::db::query_tag)) under `knobs` and `indexes`,
+    /// through the session cache. `knobs_fp` is
+    /// `knobs.planner_fingerprint()`, which targets keep precomputed so the
+    /// hot execute path doesn't rehash the knob set.
     ///
     /// The index component of the key is the canonical fingerprint of the
     /// indexes on *this query's tables* only: creating an index on an
@@ -208,26 +169,23 @@ impl PlanCache {
         knobs_fp: Fingerprint,
         indexes: &IndexCatalog,
     ) -> (Arc<QueryPredicates>, Arc<Plan>) {
-        let (preds, key) = self.key(tag, query, catalog, knobs_fp, indexes);
+        let preds = self.predicates_of(tag, catalog, query);
+        let key = PlanKey {
+            query: tag,
+            knobs: knobs_fp,
+            indexes: indexes.fingerprint_for_tables(&preds.tables),
+        };
         let plan = self.plans.get_or_insert_with(key, || {
-            let shared_key = SharedKey {
-                catalog: self.catalog_fp,
-                stats_seed: self.stats_seed,
-                key,
-            };
-            shared_plans().get_or_insert_with(shared_key, || {
-                Arc::new(
-                    Optimizer::new(catalog, knobs, indexes, self.stats_seed).plan_extracted(&preds),
-                )
-            })
+            Arc::new(
+                Optimizer::new(catalog, knobs, indexes, self.stats_seed).plan_extracted(&preds),
+            )
         });
         (preds, plan)
     }
 
     /// Plans `query` as if `knobs` (fingerprinted as `knobs_fp`) and
     /// `indexes` were in force — what-if planning, nothing is applied.
-    /// Memoized per session; never read from or published to the shared
-    /// tier.
+    /// Memoized like [`PlanCache::plan`].
     pub fn plan_what_if(
         &self,
         query: &Query,
@@ -236,31 +194,8 @@ impl PlanCache {
         knobs_fp: Fingerprint,
         indexes: &IndexCatalog,
     ) -> Plan {
-        let (preds, key) = self.key(query_tag(query), query, catalog, knobs_fp, indexes);
-        let plan = self.plans.get_or_insert_with(key, || {
-            Arc::new(
-                Optimizer::new(catalog, knobs, indexes, self.stats_seed).plan_extracted(&preds),
-            )
-        });
+        let (_, plan) = self.plan(query_tag(query), query, catalog, knobs, knobs_fp, indexes);
         (*plan).clone()
-    }
-
-    /// The predicates of `query` and its session-local plan key.
-    fn key(
-        &self,
-        tag: u64,
-        query: &Query,
-        catalog: &Catalog,
-        knobs_fp: Fingerprint,
-        indexes: &IndexCatalog,
-    ) -> (Arc<QueryPredicates>, PlanKey) {
-        let preds = self.predicates_of(tag, catalog, query);
-        let key = PlanKey {
-            query: tag,
-            knobs: knobs_fp,
-            indexes: indexes.fingerprint_for_tables(&preds.tables),
-        };
-        (preds, key)
     }
 
     /// Snapshot of the hit/miss counters.
@@ -276,14 +211,14 @@ impl PlanCache {
     /// Counters accumulated since the last [`PlanCache::take_window`] (or
     /// since construction).
     pub fn window_stats(&self) -> CacheStats {
-        let start = *self.window_start.lock().expect("window lock poisoned");
+        let start = *lt_common::lock(&self.window_start);
         self.stats().since(start)
     }
 
     /// Returns the windowed counters and starts the next window. The
     /// cumulative counters are unaffected.
     pub fn take_window(&self) -> CacheStats {
-        let mut start = self.window_start.lock().expect("window lock poisoned");
+        let mut start = lt_common::lock(&self.window_start);
         let now = self.stats();
         now.since(std::mem::replace(&mut *start, now))
     }
@@ -407,25 +342,6 @@ mod tests {
         assert_eq!(cache.len(), 2);
         plan_or_insert(&cache, key(2, 0, 0), || leaf(2.0)); // re-planned: was evicted
         assert_eq!(cache.stats().plan_misses, 4);
-    }
-
-    #[test]
-    fn publish_then_lookup_round_trips() {
-        let shared = shared_plans();
-        let skey = |catalog: u64, stats_seed: u64| SharedKey {
-            catalog: Fingerprint(catalog),
-            stats_seed,
-            key: key(99, 1, 2),
-        };
-        assert!(shared.get(&skey(0xFEE7, 1)).is_none());
-        let p = Arc::new(leaf(5.0));
-        assert!(shared.insert(skey(0xFEE7, 1), Arc::clone(&p)));
-        let hit = shared.get(&skey(0xFEE7, 1)).expect("published plan");
-        assert!(Arc::ptr_eq(&hit, &p));
-        // A different stats seed is a different plan identity.
-        assert!(shared.get(&skey(0xFEE7, 2)).is_none());
-        // As is a different catalog.
-        assert!(shared.get(&skey(0xBEEF, 1)).is_none());
     }
 
     #[test]

@@ -214,39 +214,6 @@ impl Profile {
         h.finish()
     }
 
-    /// Serializes the frequency vector for the write-ahead session log.
-    /// Feature hashes are full-range `u64`s, and the JSON layer stores
-    /// integers as `i64`, so keys are written as 16-hex-digit strings —
-    /// the same rendering `Fingerprint` uses.
-    pub fn to_json(&self) -> lt_common::json::Value {
-        let counts: Vec<(String, lt_common::json::Value)> = self
-            .counts
-            .iter()
-            .map(|(&feature, &count)| (format!("{feature:016x}"), (count as i64).into()))
-            .collect();
-        lt_common::json::Value::Object(vec![(
-            "counts".to_string(),
-            lt_common::json::Value::Object(counts),
-        )])
-    }
-
-    /// Rebuilds a profile written by [`Profile::to_json`]. Returns `None`
-    /// on any malformed key or count; the total is re-derived from the
-    /// counts (every counted feature occurrence contributes exactly 1).
-    pub fn from_json(doc: &lt_common::json::Value) -> Option<Profile> {
-        let mut p = Profile::new();
-        for (key, value) in doc.get("counts")?.as_object()? {
-            let feature = u64::from_str_radix(key, 16).ok()?;
-            let count = value.as_i64()?;
-            if count <= 0 {
-                return None;
-            }
-            p.counts.insert(feature, count as u64);
-            p.total += count as u64;
-        }
-        Some(p)
-    }
-
     /// Jensen–Shannon divergence (base 2, in `[0, 1]`) between the two
     /// normalized frequency vectors. Symmetric, finite even for disjoint
     /// supports, and deterministic: both maps iterate in sorted key order,
@@ -360,21 +327,6 @@ mod tests {
         c.remove(&[1]);
         assert_eq!(a.digest(), c.digest(), "remove restores the digest");
         assert_eq!(Profile::new().digest(), Profile::default().digest());
-    }
-
-    #[test]
-    fn profile_json_round_trips_exactly() {
-        let tpch = Benchmark::TpchSf1.load();
-        let p = Profile::from_workload(&tpch.catalog, &tpch);
-        let back = Profile::from_json(&p.to_json()).expect("round trip");
-        assert_eq!(back, p);
-        assert_eq!(back.digest(), p.digest());
-        assert_eq!(back.total(), p.total());
-        // Empty profile round-trips too (cold-start recovery path).
-        let empty = Profile::new();
-        assert_eq!(Profile::from_json(&empty.to_json()).unwrap(), empty);
-        // Malformed documents are rejected, not mis-parsed.
-        assert!(Profile::from_json(&lt_common::json::Value::Null).is_none());
     }
 
     #[test]

@@ -14,18 +14,6 @@ pub trait LanguageModel {
     /// seeds; `temperature = 0` should make the output seed-independent.
     fn complete(&self, prompt: &str, temperature: f64, seed: u64) -> Result<String>;
 
-    /// Completes the same prompt under several seeds in one request — the
-    /// fleet batching path. The default implementation loops
-    /// [`LanguageModel::complete`], so results are identical to unbatched
-    /// sampling *by construction*; backends with a native batch endpoint
-    /// may override for throughput but must preserve per-seed determinism.
-    fn complete_batch(&self, prompt: &str, temperature: f64, seeds: &[u64]) -> Result<Vec<String>> {
-        seeds
-            .iter()
-            .map(|&seed| self.complete(prompt, temperature, seed))
-            .collect()
-    }
-
     /// Model name (for logs and reports).
     fn name(&self) -> &str;
 
@@ -102,7 +90,7 @@ impl<M: LanguageModel> LlmClient<M> {
         let response = self.model.complete(prompt, temperature, seed)?;
         let prompt_tokens = count_tokens(prompt) as u64;
         let completion_tokens = count_tokens(&response) as u64;
-        let mut usage = self.usage.lock().unwrap();
+        let mut usage = lt_common::lock(&self.usage);
         usage.calls += 1;
         usage.prompt_tokens += prompt_tokens;
         usage.completion_tokens += completion_tokens;
@@ -113,46 +101,9 @@ impl<M: LanguageModel> LlmClient<M> {
         Ok(response)
     }
 
-    /// Completes one prompt under many seeds as a single metered call.
-    ///
-    /// This is where batching saves money: the prompt is transmitted (and
-    /// therefore charged) **once** for the whole batch instead of once per
-    /// sample, and the batch counts as one API call. Completion tokens are
-    /// still charged per sample. An empty seed list is a no-op that costs
-    /// nothing.
-    pub fn complete_batch(
-        &self,
-        prompt: &str,
-        temperature: f64,
-        seeds: &[u64],
-    ) -> Result<Vec<String>> {
-        if seeds.is_empty() {
-            return Ok(Vec::new());
-        }
-        let _span = obs::span("llm.call");
-        // One API round trip for the whole batch: the latency, like the
-        // prompt tokens, is paid once — that is the batching win.
-        simulate_api_latency();
-        let responses = self.model.complete_batch(prompt, temperature, seeds)?;
-        debug_assert_eq!(responses.len(), seeds.len());
-        let prompt_tokens = count_tokens(prompt) as u64;
-        let completion_tokens: u64 = responses.iter().map(|r| count_tokens(r) as u64).sum();
-        let mut usage = self.usage.lock().unwrap();
-        usage.calls += 1;
-        usage.prompt_tokens += prompt_tokens;
-        usage.completion_tokens += completion_tokens;
-        drop(usage);
-        obs::counter("llm.calls", 1);
-        obs::counter("llm.batch_calls", 1);
-        obs::counter("llm.batch_samples", seeds.len() as u64);
-        obs::counter("llm.prompt_tokens", prompt_tokens);
-        obs::counter("llm.completion_tokens", completion_tokens);
-        Ok(responses)
-    }
-
     /// Usage so far.
     pub fn usage(&self) -> LlmUsage {
-        *self.usage.lock().unwrap()
+        *lt_common::lock(&self.usage)
     }
 
     /// The wrapped model.
@@ -191,40 +142,5 @@ mod tests {
     #[test]
     fn default_usage_is_zero_cost() {
         assert_eq!(LlmUsage::default().cost_usd(), 0.0);
-    }
-
-    struct Seeded;
-    impl LanguageModel for Seeded {
-        fn complete(&self, _p: &str, _t: f64, seed: u64) -> Result<String> {
-            Ok(format!("sample {seed}"))
-        }
-        fn name(&self) -> &str {
-            "seeded"
-        }
-    }
-
-    #[test]
-    fn batch_matches_unbatched_and_charges_prompt_once() {
-        let unbatched = LlmClient::new(Seeded);
-        let loose: Vec<String> = (0..4)
-            .map(|s| unbatched.complete("a prompt here", 0.7, s).unwrap())
-            .collect();
-        let batched = LlmClient::new(Seeded);
-        let batch = batched
-            .complete_batch("a prompt here", 0.7, &[0, 1, 2, 3])
-            .unwrap();
-        assert_eq!(loose, batch);
-        let (u, b) = (unbatched.usage(), batched.usage());
-        assert_eq!(u.calls, 4);
-        assert_eq!(b.calls, 1);
-        assert_eq!(u.prompt_tokens, 4 * b.prompt_tokens);
-        assert_eq!(u.completion_tokens, b.completion_tokens);
-    }
-
-    #[test]
-    fn empty_batch_costs_nothing() {
-        let client = LlmClient::new(Seeded);
-        assert!(client.complete_batch("p", 0.0, &[]).unwrap().is_empty());
-        assert_eq!(client.usage(), LlmUsage::default());
     }
 }

@@ -43,7 +43,7 @@ use crate::server::ServerConfig;
 use crate::session::SessionState;
 use lt_common::json::Value;
 use lt_common::obs::Snapshot;
-use lt_common::{json, obs};
+use lt_common::{json, lock, obs};
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -163,13 +163,6 @@ impl CoordState {
             ids.remove(&id);
         }
         active.retain(|_, ids| !ids.is_empty());
-    }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
     }
 }
 

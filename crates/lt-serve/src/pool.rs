@@ -369,6 +369,7 @@ fn tune_session(session: &SessionHandle) -> lt_common::Result<bool> {
     let profile = Profile::from_workload(db.catalog(), &workload);
     let key = FleetKey::for_session(
         db.as_ref(),
+        request.backend.name(),
         &profile,
         &request.options,
         request.initial_config.as_deref().unwrap_or(""),
@@ -405,7 +406,6 @@ fn tune_session(session: &SessionHandle) -> lt_common::Result<bool> {
                     &result,
                     request.dbms,
                     db.catalog(),
-                    profile,
                     Some(default_time),
                 );
                 // Serialized before the insert consumes it; batched — a
@@ -827,6 +827,24 @@ mod tests {
         let (cs, hs) = (c.serving.as_ref().unwrap(), h.serving.as_ref().unwrap());
         assert_eq!(cs.memory.prompt, hs.memory.prompt);
         assert_eq!(cs.memory.best_script, hs.memory.best_script);
+    }
+
+    #[test]
+    fn a_store_session_never_replays_a_sim_sessions_result() {
+        let registry = SessionRegistry::new();
+        // A seed no other test uses: the fleet cache is process-global.
+        let sim = registry.create(quick_request(r#", "seed": 9150"#));
+        run_session(&sim);
+        let store = registry.create(quick_request(r#", "seed": 9150, "backend": "store""#));
+        run_session(&store);
+        let (sim, store) = (sim.lock(), store.lock());
+        assert_eq!(sim.state, SessionState::Done, "error: {:?}", sim.error);
+        assert_eq!(store.state, SessionState::Done, "error: {:?}", store.error);
+        // A replayed hit samples nothing; a miss samples every candidate.
+        assert_eq!(
+            store.samples_done, 2,
+            "the store session must tune, not replay"
+        );
     }
 
     #[test]

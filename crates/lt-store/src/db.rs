@@ -4,11 +4,10 @@
 //!
 //! `StoreDb` *plans* exactly like [`lt_dbms::SimDb`]: same full-scale
 //! catalog, same optimizer, same statistics seed (`derive_seed(seed, 1)`),
-//! and the same planning path ([`PlanCache`], including the process-wide
-//! shared plan tier, so a plan one backend computed serves the other).
-//! Prompts, snippet extraction and fleet-cache keys are therefore
-//! identical across backends — only the *cost* of executing a plan
-//! changes, from modelled to measured.
+//! and the same planning path ([`PlanCache`]). Prompts and snippet
+//! extraction are therefore identical across backends — only the *cost* of
+//! executing a plan changes, from modelled to measured, which is why the
+//! fleet cache keys on the backend too.
 //!
 //! Physical execution runs against a scaled-down replica (1/500 of the
 //! catalog's row counts) loaded with deterministic synthetic
