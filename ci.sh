@@ -40,7 +40,9 @@ gate_clippy() {
 
 gate_test() {
     cargo test -q
-    cargo test -q --release --manifest-path lt-perf/Cargo.toml
+    # --locked: a dependency change must fail here, not silently rewrite
+    # the benchmark's committed lockfile.
+    cargo test -q --release --locked --manifest-path lt-perf/Cargo.toml
 }
 
 # Files both determinism passes must write byte for byte.

@@ -24,7 +24,7 @@
 use lt_bench::{base_seed, bench_threads, smoke_arg, write_results};
 use lt_common::json::{parse, Value};
 use lt_common::{derive_seed, json, obs};
-use lt_fleet::FleetCache;
+use lt_serve::cache::FleetCache;
 use lt_serve::http::Connection;
 use lt_serve::{start, ServerConfig};
 use std::net::SocketAddr;

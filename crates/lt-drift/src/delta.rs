@@ -1,6 +1,6 @@
 //! Delta prompts: re-tuning on *what changed*, not on a stale prompt.
 //!
-//! The blind warm restart ([`crate::retune`] with `reuse_prompt`) feeds
+//! The blind warm restart ([`crate::retune`] without a delta) feeds
 //! the LLM the previous run's prompt verbatim — cheap, but the model
 //! then tunes for the *reference* workload, not the drifted one. The
 //! delta prompt is the middle path: compare the reference profile

@@ -289,7 +289,6 @@ pub fn compare_retune(seed: u64) -> Result<RetuneComparison> {
         &RetuneOptions {
             seed: Some(derive_seed(seed, 7)),
             delta: Some(delta_prompt(&first.prompt, &delta)),
-            ..Default::default()
         },
         None,
     )?;

@@ -4,9 +4,10 @@
 //! the previous run left behind its exact prompt and its winning
 //! configuration script ([`TuneMemory`]). Re-tuning re-enters the
 //! `lambda-tune` pipeline with that script injected as candidate 0 and
-//! (by default) the prompt reused verbatim, under a reduced candidate
-//! and token budget ([`RetuneOptions::budget_fraction`]). The previous
-//! winner therefore competes in the selector against the fresh samples:
+//! the prompt reused verbatim (or a delta prompt, [`RetuneOptions::delta`]),
+//! under half the candidate and token budget ([`warm_options`]). The
+//! previous winner therefore competes in the selector against the fresh
+//! samples:
 //! if the old configuration still wins on the drifted workload, the
 //! re-tune converges immediately; if not, the cheaper sample budget is
 //! usually enough because the prompt already encodes the schema and
@@ -30,14 +31,12 @@ pub struct TuneMemory {
     pub options: LambdaTuneOptions,
 }
 
+/// Share of the previous candidate and token budget a re-tune spends.
+const BUDGET_FRACTION: f64 = 0.5;
+
 /// Re-tune policy knobs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RetuneOptions {
-    /// Fraction of the previous candidate/token budget to spend (0, 1].
-    pub budget_fraction: f64,
-    /// Reuse the previous prompt verbatim instead of rebuilding one from
-    /// the drifted workload.
-    pub reuse_prompt: bool,
     /// Seed override for the re-tune run; `None` keeps the previous seed
     /// (which would resample the previous run's candidates).
     pub seed: Option<u64>,
@@ -48,33 +47,17 @@ pub struct RetuneOptions {
     pub delta: Option<String>,
 }
 
-impl Default for RetuneOptions {
-    fn default() -> Self {
-        RetuneOptions {
-            budget_fraction: 0.5,
-            reuse_prompt: true,
-            seed: None,
-            delta: None,
-        }
-    }
-}
-
 /// Scales the previous run's options down to the warm-start budget: the
 /// candidate count (which is what the token and evaluation budgets scale
-/// with) is multiplied by `fraction`, floored, and kept at ≥ 1 so the
-/// seeded candidate always has at least one fresh challenger — except
-/// when the previous run itself had only one candidate.
-pub fn warm_options(
-    prev: &LambdaTuneOptions,
-    fraction: f64,
-    seed: Option<u64>,
-) -> LambdaTuneOptions {
-    let fraction = fraction.clamp(0.0, 1.0);
+/// with) is halved, floored, and kept at ≥ 1 so the seeded candidate
+/// always has at least one fresh challenger — except when the previous
+/// run itself had only one candidate.
+pub fn warm_options(prev: &LambdaTuneOptions, seed: Option<u64>) -> LambdaTuneOptions {
     let mut opts = *prev;
-    opts.num_configs =
-        ((prev.num_configs as f64 * fraction).floor() as usize).clamp(1, prev.num_configs.max(1));
+    opts.num_configs = ((prev.num_configs as f64 * BUDGET_FRACTION).floor() as usize)
+        .clamp(1, prev.num_configs.max(1));
     if let Some(budget) = prev.token_budget {
-        opts.token_budget = Some(((budget as f64 * fraction).floor() as usize).max(1));
+        opts.token_budget = Some(((budget as f64 * BUDGET_FRACTION).floor() as usize).max(1));
     }
     if let Some(seed) = seed {
         opts.seed = seed;
@@ -92,12 +75,9 @@ pub fn retune<D: TuningTarget + ?Sized, M: LanguageModel>(
     opts: &RetuneOptions,
     observer: Option<Arc<dyn TuneObserver>>,
 ) -> Result<TuneResult> {
-    let options = warm_options(&memory.options, opts.budget_fraction, opts.seed);
+    let options = warm_options(&memory.options, opts.seed);
     let warm = WarmStart {
-        prompt: opts
-            .delta
-            .clone()
-            .or_else(|| opts.reuse_prompt.then(|| memory.prompt.clone())),
+        prompt: Some(opts.delta.clone().unwrap_or_else(|| memory.prompt.clone())),
         seed_scripts: vec![memory.best_script.clone()],
     };
     let mut tuner = LambdaTune::new(options).with_warm_start(warm);
@@ -126,14 +106,17 @@ mod tests {
             seed: 7,
             ..Default::default()
         };
-        let opts = warm_options(&prev, 0.5, Some(99));
+        let opts = warm_options(&prev, Some(99));
         assert_eq!(opts.num_configs, 2);
         assert_eq!(opts.token_budget, Some(500));
         assert_eq!(opts.seed, 99);
-        // Degenerate fractions stay valid.
-        assert_eq!(warm_options(&prev, 0.0, None).num_configs, 1);
-        assert_eq!(warm_options(&prev, 1.0, None).num_configs, 5);
-        assert_eq!(warm_options(&prev, 1.0, None).seed, 7);
+        assert_eq!(warm_options(&prev, None).seed, 7);
+        // A one-candidate run keeps its one candidate.
+        let single = LambdaTuneOptions {
+            num_configs: 1,
+            ..prev
+        };
+        assert_eq!(warm_options(&single, None).num_configs, 1);
     }
 
     #[test]

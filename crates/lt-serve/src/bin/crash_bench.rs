@@ -36,7 +36,7 @@
 use lt_common::json::{parse, Value};
 use lt_common::wal::{read_log, WalOptions};
 use lt_common::{hash_one, json};
-use lt_fleet::FleetCache;
+use lt_serve::cache::FleetCache;
 use lt_serve::http::request;
 use lt_serve::{start, ServerConfig, ServerHandle};
 use lt_synth::{predicate_templates, Phase};
@@ -550,7 +550,6 @@ fn spawn_server(bin: &Path, dir: &Path, kill_at: Option<u64>) -> (Child, SocketA
     cmd.args(["--addr", "127.0.0.1:0", "--workers", "1"])
         .arg("--wal-dir")
         .arg(dir)
-        .stdout(Stdio::piped())
         .stderr(Stdio::null());
     match kill_at {
         Some(n) => cmd
@@ -558,31 +557,7 @@ fn spawn_server(bin: &Path, dir: &Path, kill_at: Option<u64>) -> (Child, SocketA
             .env("LT_WAL_SYNC_EVERY", "1"),
         None => cmd.env_remove("LT_WAL_CRASH_AT"),
     };
-    let mut child = cmd
-        .spawn()
-        .unwrap_or_else(|e| fail(&format!("spawn {bin:?}: {e}")));
-    // The first stdout line announces the bound address.
-    use std::io::{BufRead, BufReader};
-    let stdout = child.stdout.take().unwrap();
-    let mut lines = BufReader::new(stdout).lines();
-    let addr = loop {
-        match lines.next() {
-            Some(Ok(line)) => {
-                if let Some(rest) = line.split("http://").nth(1) {
-                    let text = rest.split_whitespace().next().unwrap_or("");
-                    match text.parse() {
-                        Ok(addr) => break addr,
-                        Err(_) => fail(&format!("bad address in {line:?}")),
-                    }
-                }
-            }
-            _ => fail("server exited before announcing its address"),
-        }
-    };
-    // Keep draining stdout in the background so the child never blocks on
-    // a full pipe.
-    std::thread::spawn(move || for _line in lines.map_while(Result::ok) {});
-    (child, addr)
+    lt_serve::fleet::spawn_announced(cmd).unwrap_or_else(|e| fail(&format!("spawn {bin:?}: {e}")))
 }
 
 /// One live kill point: run the scenario against a self-aborting child,

@@ -82,7 +82,7 @@ fn scratch_root() -> PathBuf {
 /// Spawns a child and reads its announced address: the first stdout line
 /// containing `http://`. Keeps draining stdout afterwards so the child
 /// never blocks on a full pipe.
-fn spawn_announced(mut cmd: Command) -> io::Result<(Child, SocketAddr)> {
+pub fn spawn_announced(mut cmd: Command) -> io::Result<(Child, SocketAddr)> {
     let mut child = cmd.stdout(Stdio::piped()).spawn()?;
     let stdout = child.stdout.take().expect("stdout is piped");
     let mut lines = BufReader::new(stdout).lines();

@@ -9,6 +9,8 @@
 //!   that the daemon and the coordinator share;
 //! - [`session`] — request parsing/validation, the per-session state
 //!   machine (`Queued → Tuning → Done/Failed/Cancelled`) and the registry;
+//! - [`cache`] — the cross-session tuning cache: an exact request key to
+//!   the outcome of a finished cold tune;
 //! - [`pool`] — a fixed-size worker pool behind a bounded, tenant-fair
 //!   (deficit-round-robin) queue; admission control (429), graceful drain
 //!   on shutdown, and a `catch_unwind` backstop so one poisoned request
@@ -27,6 +29,7 @@
 //! request interleaving — progress observers stream state out of the
 //! pipeline but never feed anything back in except cancellation.
 
+pub mod cache;
 pub mod coord;
 pub mod fleet;
 pub mod http;

@@ -17,8 +17,9 @@
 //! deterministic: tenants join the rotation in first-arrival order and keep
 //! their slot until their queue drains.
 
+use crate::cache::{FleetCache, FleetKey};
 use crate::session::{ServingState, SessionHandle, SessionState, TuneRequest};
-use crate::wal::SessionRecord;
+use crate::wal::{Outcome, SessionRecord};
 use lambda_tune::LambdaTune;
 use lt_common::{derive_seed, obs, LtError, Secs};
 use lt_dbms::{Configuration, TuningTarget};
@@ -26,7 +27,6 @@ use lt_drift::{
     delta_prompt, retune, DriftMonitor, LabeledProfile, Profile, RetuneOptions, TuneMemory,
     WorkloadDelta,
 };
-use lt_fleet::{FleetCache, FleetEntry, FleetKey};
 use lt_llm::{LlmClient, SimulatedLlm};
 use lt_workloads::Workload;
 use std::collections::{BTreeMap, VecDeque};
@@ -298,7 +298,7 @@ pub fn run_session(session: &SessionHandle) {
                 session.log_sync(&SessionRecord::Done {
                     id,
                     retunes: s.drift.retunes,
-                    outcome: crate::wal::Outcome::of(&s),
+                    outcome: s.outcome.clone(),
                 });
             }
         }
@@ -336,14 +336,47 @@ pub fn run_session(session: &SessionHandle) {
     session.notify_change();
 }
 
-/// The fallible part of a session: builds the per-session database, applies
-/// any initial configuration, consults the fleet tuning cache, and — on a
-/// miss — measures the default workload time and runs the pipeline (an
-/// exact hit replays the cached run, including its default measurement).
+/// The fallible part of a session: validates any initial configuration,
+/// consults the fleet tuning cache and — on a miss — builds the per-session
+/// database, measures the default workload time and runs the pipeline (an
+/// exact hit serves the cached run, including its default measurement).
 /// Returns `Ok(true)` when the run was cancelled mid-flight.
 fn tune_session(session: &SessionHandle) -> lt_common::Result<bool> {
     let request = session.lock().request.clone();
     let workload = request.benchmark.load();
+    let initial_config = match &request.initial_config {
+        Some(script) => {
+            let config = Configuration::parse(script, request.dbms, &workload.catalog);
+            if config.is_empty() && !config.warnings.is_empty() {
+                return Err(LtError::Config(format!(
+                    "initial_config has no valid statements: {}",
+                    config.warnings.join("; ")
+                )));
+            }
+            Some(config)
+        }
+        None => None,
+    };
+
+    let fleet = FleetCache::global();
+    let key = FleetKey::for_request(&request, &workload);
+    if let Some(cached) = fleet.lookup(&key) {
+        // The cold run's result; the progress counters stay the session's
+        // own, since a hit samples and evaluates nothing.
+        let serving = cached
+            .best_script
+            .as_deref()
+            .map(|script| build_serving(&request, &workload, script));
+        let mut s = session.lock();
+        s.outcome = Outcome {
+            samples_done: s.outcome.samples_done,
+            rounds_started: s.outcome.rounds_started,
+            workload_tokens: s.outcome.workload_tokens,
+            ..Outcome::clone(&cached)
+        };
+        s.serving = serving;
+        return Ok(false);
+    }
 
     let mut db = request.backend.open(
         request.dbms,
@@ -351,111 +384,68 @@ fn tune_session(session: &SessionHandle) -> lt_common::Result<bool> {
         request.hardware,
         request.seed,
     );
-    if let Some(script) = &request.initial_config {
-        let config = Configuration::parse(script, request.dbms, db.catalog());
-        if config.is_empty() && !config.warnings.is_empty() {
-            return Err(LtError::Config(format!(
-                "initial_config has no valid statements: {}",
-                config.warnings.join("; ")
-            )));
-        }
-        db.apply_knobs(&config);
+    if let Some(config) = &initial_config {
+        db.apply_knobs(config);
         for spec in config.index_specs() {
             db.create_index(spec);
         }
     }
-
-    let fleet = FleetCache::global();
-    let profile = Profile::from_workload(db.catalog(), &workload);
-    let key = FleetKey::for_session(
-        db.as_ref(),
-        request.backend.name(),
-        &profile,
-        &request.options,
-        request.initial_config.as_deref().unwrap_or(""),
-    );
-    let cached = fleet.lookup(&key);
-
     // Denominator of the scaled cost: the workload under the *default*
     // configuration, on a fresh database with the same seed (the tuning
     // database must not see these executions in its plan cache timeline).
-    // A hit replays the cached measurement instead of re-running it.
-    let default_time = match cached.as_ref().and_then(|entry| entry.default_time) {
-        Some(time) => time,
-        None => {
-            let mut default_db = request.backend.open(
-                request.dbms,
-                workload.catalog.clone(),
-                request.hardware,
-                request.seed,
-            );
-            measure_default(default_db.as_mut(), &workload)
-        }
-    };
-    session.lock().default_time = Some(default_time.as_f64());
+    let mut default_db = request.backend.open(
+        request.dbms,
+        workload.catalog.clone(),
+        request.hardware,
+        request.seed,
+    );
+    let default_time = measure_default(default_db.as_mut(), &workload);
+    session.lock().outcome.default_time = Some(default_time.as_f64());
 
-    let result = match cached {
-        Some(entry) => entry.to_result(db.as_ref()),
-        None => {
-            let tuner = LambdaTune::new(request.options)
-                .with_observer(std::sync::Arc::new(session.observer()));
-            let llm = LlmClient::new(SimulatedLlm::new());
-            let result = tuner.tune(db.as_mut(), &workload, &llm)?;
-            if !result.cancelled {
-                let entry = FleetEntry::from_result(
-                    &result,
-                    request.dbms,
-                    db.catalog(),
-                    Some(default_time),
-                );
-                // Serialized before the insert consumes it; batched — a
-                // lost publication only costs a future cache hit.
-                session.log(&SessionRecord::Fleet {
-                    key: lt_fleet::fleet_key_to_json(&key),
-                    entry: lt_fleet::fleet_entry_to_json(&entry),
-                });
-                fleet.insert(key, entry);
-            }
-            result
-        }
-    };
+    let tuner =
+        LambdaTune::new(request.options).with_observer(std::sync::Arc::new(session.observer()));
+    let llm = LlmClient::new(SimulatedLlm::new());
+    let result = tuner.tune(db.as_mut(), &workload, &llm)?;
 
     let best_script = result
         .best_config
         .as_ref()
         .map(|c| c.to_script(request.dbms, db.catalog()));
-
     // A completed session keeps serving; see [`build_serving`].
-    let serving = if result.cancelled {
-        None
-    } else {
-        best_script
-            .as_deref()
-            .map(|script| build_serving(&request, script, &result.prompt))
+    let serving = match &best_script {
+        Some(script) if !result.cancelled => Some(build_serving(&request, &workload, script)),
+        _ => None,
     };
 
     let mut s = session.lock();
-    s.best_script = best_script;
-    s.best_time = Some(result.best_time.as_f64());
-    s.tuning_time = Some(result.tuning_time.as_f64());
-    s.trajectory = result.trajectory.clone();
+    s.outcome.best_script = best_script;
+    s.outcome.best_time = Some(result.best_time.as_f64());
+    s.outcome.tuning_time = Some(result.tuning_time.as_f64());
+    s.outcome.trajectory = result.trajectory;
+    if serving.is_some() {
+        s.outcome.prompt = result.prompt;
+    }
     s.serving = serving;
+    if !result.cancelled {
+        // The `done` record written next is the durable copy: recovery
+        // refills the cache from it.
+        fleet.insert(key, s.outcome.clone());
+    }
     Ok(result.cancelled)
 }
 
-/// Builds the serving state of a completed tune: a fresh database with the
-/// winning script applied (derived serving seed — a configuration change is
-/// a restart, so the plan cache starts cold), a drift monitor referenced on
-/// the tuned workload, and the prompt + script as warm-start memory. This
-/// is the *single* construction path — the worker and write-ahead-log
-/// recovery both call it, which is what makes a recovered session's serving
-/// database byte-identical to an uninterrupted one's.
+/// Builds the serving state of a completed tune of `workload` (the
+/// request's benchmark, loaded): a fresh database with the winning script
+/// applied (derived serving seed — a configuration change is a restart, so
+/// the plan cache starts cold) and a drift monitor referenced on the tuned
+/// workload. This is the *single* construction path — the worker and
+/// write-ahead-log recovery both call it, which is what makes a recovered
+/// session's serving database byte-identical to an uninterrupted one's.
 pub(crate) fn build_serving(
     request: &TuneRequest,
+    workload: &Workload,
     best_script: &str,
-    prompt: &str,
 ) -> ServingState {
-    let workload = request.benchmark.load();
     let mut db = request.backend.open(
         request.dbms,
         workload.catalog.clone(),
@@ -467,30 +457,23 @@ pub(crate) fn build_serving(
     for spec in config.index_specs() {
         db.create_index(spec);
     }
-    let reference = Profile::from_workload(db.catalog(), &workload);
+    let reference = Profile::from_workload(db.catalog(), workload);
     ServingState {
         monitor: DriftMonitor::with_reference(request.drift.clone(), reference),
-        memory: TuneMemory {
-            prompt: prompt.to_string(),
-            best_script: best_script.to_string(),
-            options: request.options,
-        },
         db,
         recent: Vec::new(),
     }
 }
 
 /// Adopts a re-tune's winner on a live serving state: applies the script to
-/// the serving database, updates the warm-start memory, and rebases the
-/// drift monitor on the observed workload so the regime the session just
-/// adapted to stops counting as drift. Shared by [`warm_retune`] and
-/// write-ahead-log recovery (same determinism argument as
-/// [`build_serving`]).
+/// the serving database and rebases the drift monitor on the observed
+/// workload so the regime the session just adapted to stops counting as
+/// drift. Shared by [`warm_retune`] and write-ahead-log recovery (same
+/// determinism argument as [`build_serving`]).
 pub(crate) fn adopt_retune(
     serving: &mut ServingState,
     request: &TuneRequest,
     script: &str,
-    prompt: &str,
     workload: &Workload,
 ) {
     let config = Configuration::parse(script, request.dbms, serving.db.catalog());
@@ -498,8 +481,6 @@ pub(crate) fn adopt_retune(
     for spec in config.index_specs() {
         serving.db.create_index(spec);
     }
-    serving.memory.prompt = prompt.to_string();
-    serving.memory.best_script = script.to_string();
     serving
         .monitor
         .rebase(Profile::from_workload(serving.db.catalog(), workload));
@@ -539,7 +520,7 @@ pub fn run_retune(session: &SessionHandle) {
             session.log_sync(&SessionRecord::Done {
                 id,
                 retunes: s.drift.retunes,
-                outcome: crate::wal::Outcome::of(&s),
+                outcome: s.outcome.clone(),
             });
         }
         Ok(Err(err)) => {
@@ -578,14 +559,20 @@ pub fn run_retune(session: &SessionHandle) {
 /// it back — on failure the session keeps serving under the old
 /// configuration. Returns `Ok(true)` when the run was cancelled.
 fn retune_session(session: &SessionHandle) -> lt_common::Result<bool> {
-    let (request, mut serving, retunes) = {
+    let (request, mut serving, memory, retunes) = {
         let mut s = session.lock();
         let serving = s.serving.take().ok_or_else(|| {
             LtError::Tuning("session has no serving state to re-tune".to_string())
         })?;
-        (s.request.clone(), serving, s.drift.retunes)
+        // A serving session always has a winner: it was built from it.
+        let memory = TuneMemory {
+            prompt: s.outcome.prompt.clone(),
+            best_script: s.outcome.best_script.clone().unwrap_or_default(),
+            options: s.request.options,
+        };
+        (s.request.clone(), serving, memory, s.drift.retunes)
     };
-    let outcome = warm_retune(session, &request, &mut serving, retunes);
+    let outcome = warm_retune(session, &request, &mut serving, &memory, retunes);
     session.lock().serving = Some(serving);
     outcome
 }
@@ -594,6 +581,7 @@ fn warm_retune(
     session: &SessionHandle,
     request: &TuneRequest,
     serving: &mut ServingState,
+    memory: &TuneMemory,
     retunes: u64,
 ) -> lt_common::Result<bool> {
     if serving.recent.is_empty() {
@@ -601,12 +589,7 @@ fn warm_retune(
             "no observed queries to re-tune against".to_string(),
         ));
     }
-    let pairs: Vec<(&str, String)> = serving
-        .recent
-        .iter()
-        .map(|(label, sql)| (label.as_str(), sql.clone()))
-        .collect();
-    let workload = Workload::from_sql("observed", serving.db.catalog().clone(), &pairs)?;
+    let workload = serving.observed_workload()?;
     let llm = LlmClient::new(SimulatedLlm::new());
     let sink = std::sync::Arc::new(session.observer());
     // Drift-aware prompt: compare the benchmark the session was tuned for
@@ -621,7 +604,7 @@ fn warm_retune(
         None
     } else {
         obs::counter("serve.delta_retunes", 1);
-        Some(delta_prompt(&serving.memory.prompt, &delta))
+        Some(delta_prompt(&memory.prompt, &delta))
     };
     // Each re-tune gets its own derived seed; the budget always scales
     // from the session's *original* options, so repeated re-tunes do not
@@ -630,11 +613,10 @@ fn warm_retune(
         serving.db.as_mut(),
         &workload,
         &llm,
-        &serving.memory,
+        memory,
         &RetuneOptions {
             seed: Some(derive_seed(request.seed, 1000 + retunes)),
             delta: delta_text,
-            ..Default::default()
         },
         Some(sink),
     )?;
@@ -646,11 +628,12 @@ fn warm_retune(
         .as_ref()
         .ok_or_else(|| LtError::Tuning("re-tune found no configuration".to_string()))?;
     let script = best.to_script(request.dbms, serving.db.catalog());
-    adopt_retune(serving, request, &script, &result.prompt, &workload);
+    adopt_retune(serving, request, &script, &workload);
     let mut s = session.lock();
-    s.best_script = Some(script);
-    s.best_time = Some(result.best_time.as_f64());
-    if let Some(t) = s.tuning_time.as_mut() {
+    s.outcome.best_script = Some(script);
+    s.outcome.best_time = Some(result.best_time.as_f64());
+    s.outcome.prompt = result.prompt;
+    if let Some(t) = s.outcome.tuning_time.as_mut() {
         *t += result.tuning_time.as_f64();
     }
     s.drift.retunes += 1;
@@ -677,10 +660,10 @@ mod tests {
         run_session(&handle);
         let s = handle.lock();
         assert_eq!(s.state, SessionState::Done, "error: {:?}", s.error);
-        assert!(s.best_script.is_some());
-        assert!(s.default_time.unwrap() > 0.0);
-        assert!(s.best_time.unwrap() > 0.0);
-        assert!(s.samples_done >= 2);
+        assert!(s.outcome.best_script.is_some());
+        assert!(s.outcome.default_time.unwrap() > 0.0);
+        assert!(s.outcome.best_time.unwrap() > 0.0);
+        assert!(s.outcome.samples_done >= 2);
         let config = s.config_json().unwrap();
         assert!(config.get("scaled_cost").is_some());
     }
@@ -719,7 +702,7 @@ mod tests {
         run_session(&handle);
         let s = handle.lock();
         assert_eq!(s.state, SessionState::Cancelled);
-        assert_eq!(s.samples_done, 0);
+        assert_eq!(s.outcome.samples_done, 0);
     }
 
     #[test]
@@ -733,8 +716,9 @@ mod tests {
             .serving
             .as_ref()
             .expect("done session keeps serving state");
-        assert_eq!(serving.memory.best_script, *s.best_script.as_ref().unwrap());
-        assert!(!serving.memory.prompt.is_empty());
+        // The warm memory of a re-tune: the winner and the prompt.
+        assert!(s.outcome.best_script.is_some());
+        assert!(!s.outcome.prompt.is_empty());
         assert_eq!(serving.monitor.observed(), 0);
     }
 
@@ -743,6 +727,7 @@ mod tests {
         let registry = SessionRegistry::new();
         let handle = registry.create(quick_request(""));
         run_session(&handle);
+        let cold = handle.lock().outcome.clone();
         {
             let mut s = handle.lock();
             assert_eq!(s.state, SessionState::Done, "error: {:?}", s.error);
@@ -760,9 +745,11 @@ mod tests {
         assert_eq!(s.drift.retunes, 1, "error: {:?}", s.drift.last_error);
         assert!(s.drift.last_error.is_none());
         assert!(s.serving.is_some(), "serving survives a re-tune");
-        // The warm memory now carries the re-tune's winner.
-        let serving = s.serving.as_ref().unwrap();
-        assert_eq!(serving.memory.best_script, *s.best_script.as_ref().unwrap());
+        // The outcome now carries the re-tune: its winner and prompt (the
+        // next re-tune's warm memory) and its share of the tuning time.
+        assert!(s.outcome.best_script.is_some());
+        assert!(!s.outcome.prompt.is_empty());
+        assert!(s.outcome.tuning_time > cold.tuning_time);
     }
 
     #[test]
@@ -790,43 +777,39 @@ mod tests {
         let registry = SessionRegistry::new();
         let handle = registry.create(quick_request(""));
         run_session(&handle);
-        let before = handle.lock().best_script.clone();
+        let before = handle.lock().outcome.clone();
         run_retune(&handle); // state is Done, not Retuning
         let s = handle.lock();
         assert_eq!(s.state, SessionState::Done);
-        assert_eq!(s.best_script, before);
+        assert_eq!(s.outcome, before);
         assert_eq!(s.drift.retunes, 0);
-    }
-
-    fn counter_value(name: &str) -> u64 {
-        obs::snapshot()
-            .counters
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
     }
 
     #[test]
     fn fleet_cache_replays_a_session_byte_for_byte() {
         let registry = SessionRegistry::new();
+        // A seed no other test uses: the fleet cache is process-global.
         let cold = registry.create(quick_request(r#", "seed": 9100"#));
         run_session(&cold);
         let hit = registry.create(quick_request(r#", "seed": 9100"#));
-        let hits_before = counter_value("fleet.tune_hit");
         run_session(&hit);
-        assert_eq!(counter_value("fleet.tune_hit"), hits_before + 1);
         let (c, h) = (cold.lock(), hit.lock());
         assert_eq!(h.state, SessionState::Done, "error: {:?}", h.error);
+        // Session-local proof of the hit: the cold run sampled both
+        // candidates and built a prompt, the hit did neither.
+        assert_eq!(c.outcome.samples_done, 2);
+        assert!(c.outcome.workload_tokens.is_some());
+        assert_eq!(h.outcome.samples_done, 0);
+        assert_eq!(h.outcome.workload_tokens, None);
+        // The replay keeps serving too, with the cold run's warm memory.
+        assert!(h.serving.is_some());
+        let (c, h) = (&c.outcome, &h.outcome);
+        assert_eq!(c.prompt, h.prompt);
         assert_eq!(c.best_script, h.best_script);
         assert_eq!(c.best_time, h.best_time);
         assert_eq!(c.default_time, h.default_time);
         assert_eq!(c.tuning_time, h.tuning_time);
         assert_eq!(c.trajectory, h.trajectory);
-        // The replay keeps serving too — same warm memory as the cold run.
-        let (cs, hs) = (c.serving.as_ref().unwrap(), h.serving.as_ref().unwrap());
-        assert_eq!(cs.memory.prompt, hs.memory.prompt);
-        assert_eq!(cs.memory.best_script, hs.memory.best_script);
     }
 
     #[test]
@@ -842,7 +825,7 @@ mod tests {
         assert_eq!(store.state, SessionState::Done, "error: {:?}", store.error);
         // A replayed hit samples nothing; a miss samples every candidate.
         assert_eq!(
-            store.samples_done, 2,
+            store.outcome.samples_done, 2,
             "the store session must tune, not replay"
         );
     }

@@ -13,8 +13,7 @@
 //! | GET    | `/metrics`              | Observability registry dump          |
 //! | GET    | `/healthz`              | Liveness probe                       |
 //! | POST   | `/shutdown`             | Graceful shutdown (drains workers)   |
-//! | GET    | `/shard/healthz`        | Shard control: id, drain state, load |
-//! | POST   | `/shard/drain`          | Stop admitting; keep serving reads   |
+//! | GET    | `/shard/healthz`        | Shard control: id, load              |
 //! | POST   | `/shard/adopt`          | Coordinator-placed session (fixed id)|
 //!
 //! `GET /sessions/<id>?wait_ms=N` long-polls: the response is deferred
@@ -24,9 +23,8 @@
 //!
 //! The `/shard/*` surface is what the coordinator ([`crate::coord`])
 //! drives: `adopt` is `POST /sessions` with the session id chosen by the
-//! caller (the consistent-hash ring keys on it), `drain` flips admission
-//! off for planned removal from the ring, and `/shard/healthz` is the
-//! health-probe target that also reports queue pressure.
+//! caller (the consistent-hash ring keys on it), and `/shard/healthz` is
+//! the health-probe target that also reports queue pressure.
 //!
 //! Connections go through the shared front end ([`crate::http::serve`]):
 //! one request per connection unless the client asks for keep-alive.
@@ -40,10 +38,8 @@ use crate::wal::SessionRecord;
 use lt_common::json::Value;
 use lt_common::{json, obs};
 use lt_synth::{Synthesizer, WorkloadSpec};
-use lt_workloads::Workload;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -127,9 +123,6 @@ struct ServerState {
     tenant_cap: usize,
     /// Shard identity (fabric mode), `None` standalone.
     shard_id: Option<u32>,
-    /// Draining: admission off (new sessions answer 503), reads keep
-    /// working. Set by `POST /shard/drain` ahead of planned removal.
-    draining: AtomicBool,
 }
 
 /// A running server. Dropping the handle (or calling
@@ -202,7 +195,6 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         shutdown: shutdown.clone(),
         tenant_cap: config.tenant_cap.max(1),
         shard_id: config.shard_id,
-        draining: AtomicBool::new(false),
     });
     let router_state = state.clone();
     let accept_thread = http::serve(
@@ -269,14 +261,6 @@ fn route(request: &Request, state: &ServerState) -> Response {
             "GET" => shard_healthz(state),
             _ => Response::method_not_allowed(method, path, "GET"),
         },
-        ["shard", "drain"] => match method {
-            "POST" => {
-                state.draining.store(true, Ordering::SeqCst);
-                obs::counter("serve.shard_drains", 1);
-                Response::json(200, &json!({ "draining": true }))
-            }
-            _ => Response::method_not_allowed(method, path, "POST"),
-        },
         ["shard", "adopt"] => match method {
             "POST" => adopt_session(request, state),
             _ => Response::method_not_allowed(method, path, "POST"),
@@ -339,7 +323,6 @@ fn shard_healthz(state: &ServerState) -> Response {
         &json!({
             "ok": true,
             "shard_id": shard_id,
-            "draining": state.draining.load(Ordering::SeqCst),
             "sessions": state.registry.state_counts_json(),
         }),
     )
@@ -351,13 +334,10 @@ fn shard_healthz(state: &ServerState) -> Response {
 /// from the body — the coordinator allocates ids fleet-wide and the ring
 /// keys on them, so the shard must register the session under exactly
 /// that id. Global (fleet) quota was already enforced by the coordinator;
-/// the shard still refuses duplicates, drain mode and a full queue.
+/// the shard still refuses duplicates and a full queue.
 fn adopt_session(request: &Request, state: &ServerState) -> Response {
     if state.shutdown.is_requested() {
         return Response::error(503, "server is shutting down");
-    }
-    if state.draining.load(Ordering::SeqCst) {
-        return Response::error(503, "shard is draining");
     }
     let doc = match request.json_body() {
         Ok(doc) => doc,
@@ -429,9 +409,6 @@ fn cancel_session(s: &crate::session::SessionHandle) -> Response {
 fn submit_session(request: &Request, state: &ServerState) -> Response {
     if state.shutdown.is_requested() {
         return Response::error(503, "server is shutting down");
-    }
-    if state.draining.load(Ordering::SeqCst) {
-        return Response::error(503, "shard is draining");
     }
     let doc = match request.json_body() {
         Ok(doc) => doc,
@@ -594,15 +571,7 @@ fn feed_queries(request: &Request, state: &ServerState, handle: &SessionHandle) 
     // Validate the whole batch against the session's catalog before
     // executing any of it: a feed is all-or-nothing, so a typo in query
     // 40 cannot leave the monitor half-updated.
-    let labels: Vec<String> = (0..sqls.len())
-        .map(|i| format!("f{}", drift.queries_observed + 1 + i as u64))
-        .collect();
-    let pairs: Vec<(&str, String)> = labels
-        .iter()
-        .zip(&sqls)
-        .map(|(label, sql)| (label.as_str(), sql.clone()))
-        .collect();
-    let workload = match Workload::from_sql("feed", serving.db.catalog().clone(), &pairs) {
+    let workload = match serving.feed_workload(&sqls) {
         Ok(w) => w,
         Err(err) => return Response::error(400, &format!("bad query batch: {err}")),
     };

@@ -18,12 +18,13 @@
 //! mutex only guards the id → session map, so status polls never contend
 //! with tuning progress writes of other sessions.
 
-use lambda_tune::{LambdaTuneOptions, ProgressEvent, TrajectoryPoint, TuneObserver};
+use crate::wal::Outcome;
+use lambda_tune::{LambdaTuneOptions, ProgressEvent, TuneObserver};
 use lt_common::json::Value;
 use lt_common::{json, LtError, Result};
 use lt_dbms::{Dbms, Hardware, SimDb, TuningTarget};
-use lt_drift::{DriftConfig, DriftEvent, DriftMonitor, TuneMemory};
-use lt_workloads::Benchmark;
+use lt_drift::{DriftConfig, DriftEvent, DriftMonitor};
+use lt_workloads::{Benchmark, Workload};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -432,16 +433,14 @@ pub struct DriftStatus {
 }
 
 /// Everything a `Done` session keeps to serve a live query feed: the tuned
-/// database, the drift monitor watching the feed, the previous run's
-/// [`TuneMemory`] for warm starts, and the recent observed queries that
-/// become the re-tune workload.
+/// database, the drift monitor watching the feed, and the recent observed
+/// queries that become the re-tune workload. (The warm-start prompt and
+/// winner live in the session's [`Outcome`].)
 pub struct ServingState {
     /// The session's database with the winning configuration applied.
     pub db: Box<dyn TuningTarget + Send>,
     /// Streaming drift monitor referenced on the tuned workload.
     pub monitor: DriftMonitor,
-    /// Prompt + winning script of the latest (re-)tune.
-    pub memory: TuneMemory,
     /// Most recent `(label, sql)` observed queries, oldest first, capped
     /// at [`RECENT_QUERY_CAP`].
     pub recent: Vec<(String, String)>,
@@ -456,13 +455,40 @@ impl ServingState {
         }
     }
 
+    /// A feed batch as a workload over the serving catalog, its queries
+    /// labelled `f<n>` by their position in the session's whole feed. The
+    /// HTTP handler and write-ahead-log replay both build it here.
+    pub(crate) fn feed_workload(&self, sqls: &[String]) -> Result<Workload> {
+        let observed = self.monitor.observed();
+        let labels: Vec<String> = (1..=sqls.len() as u64)
+            .map(|i| format!("f{}", observed + i))
+            .collect();
+        let pairs: Vec<(&str, String)> = labels
+            .iter()
+            .zip(sqls)
+            .map(|(label, sql)| (label.as_str(), sql.clone()))
+            .collect();
+        Workload::from_sql("feed", self.db.catalog().clone(), &pairs)
+    }
+
+    /// The recent-query window as the workload a re-tune tunes for. The
+    /// worker and write-ahead-log replay both build it here.
+    pub(crate) fn observed_workload(&self) -> Result<Workload> {
+        let pairs: Vec<(&str, String)> = self
+            .recent
+            .iter()
+            .map(|(label, sql)| (label.as_str(), sql.clone()))
+            .collect();
+        Workload::from_sql("observed", self.db.catalog().clone(), &pairs)
+    }
+
     /// Executes one validated feed batch on the serving database and runs
     /// every query through the drift monitor, returning the alarms raised.
     /// This is the *single* code path for feeding queries — the HTTP
     /// handler and write-ahead-log replay both call it, which is what makes
     /// a recovered session's serving database byte-identical to an
     /// uninterrupted one's.
-    pub fn observe_queries(&mut self, workload: &lt_workloads::Workload) -> Vec<DriftEvent> {
+    pub fn observe_queries(&mut self, workload: &Workload) -> Vec<DriftEvent> {
         let mut events = Vec::new();
         for q in &workload.queries {
             let outcome = self.db.execute(&q.parsed, lt_common::Secs::INFINITY);
@@ -511,23 +537,9 @@ pub struct Session {
     pub state: SessionState,
     /// Error message for [`SessionState::Failed`].
     pub error: Option<String>,
-    /// Improvement trajectory streamed from the selector as it happens.
-    pub trajectory: Vec<TrajectoryPoint>,
-    /// LLM samples received so far.
-    pub samples_done: usize,
-    /// Selector rounds started so far.
-    pub rounds_started: usize,
-    /// Tokens spent on the workload description (known after prompt build).
-    pub workload_tokens: Option<usize>,
-    /// Winning configuration script (after completion).
-    pub best_script: Option<String>,
-    /// Workload time under the winner, virtual seconds.
-    pub best_time: Option<f64>,
-    /// Workload time under the default configuration, virtual seconds
-    /// (denominator of the scaled cost).
-    pub default_time: Option<f64>,
-    /// Total virtual tuning time.
-    pub tuning_time: Option<f64>,
+    /// Progress so far and, once a (re-)tune finished, its result: what
+    /// the `done` record logs.
+    pub outcome: Outcome,
     /// Drift bookkeeping for the query feed.
     pub drift: DriftStatus,
     /// Live serving state; present only while the session is `Done` (or
@@ -539,6 +551,7 @@ impl Session {
     /// The `GET /sessions/<id>` document: state plus trajectory-so-far.
     pub fn status_json(&self) -> Value {
         let trajectory: Vec<Value> = self
+            .outcome
             .trajectory
             .iter()
             .map(|p| {
@@ -565,11 +578,11 @@ impl Session {
             "state": self.state.name(),
             "tenant": self.tenant.as_str(),
             "request": self.request.to_json(),
-            "samples_done": self.samples_done,
-            "rounds_started": self.rounds_started,
-            "workload_tokens": self.workload_tokens,
+            "samples_done": self.outcome.samples_done,
+            "rounds_started": self.outcome.rounds_started,
+            "workload_tokens": self.outcome.workload_tokens,
             "trajectory": Value::Array(trajectory),
-            "best_time_s": self.best_time,
+            "best_time_s": self.outcome.best_time,
             "error": self.error.as_deref(),
             "drift": json!({
                 "auto_retune": self.request.auto_retune,
@@ -585,8 +598,9 @@ impl Session {
     /// The `GET /sessions/<id>/config` document: best script + scaled cost.
     /// `None` until a best configuration exists.
     pub fn config_json(&self) -> Option<Value> {
-        let script = self.best_script.as_deref()?;
-        let scaled_cost = match (self.best_time, self.default_time) {
+        let o = &self.outcome;
+        let script = o.best_script.as_deref()?;
+        let scaled_cost = match (o.best_time, o.default_time) {
             (Some(best), Some(default)) if default > 0.0 => Some(best / default),
             _ => None,
         };
@@ -594,10 +608,10 @@ impl Session {
             "id": self.id,
             "state": self.state.name(),
             "script": script,
-            "best_time_s": self.best_time,
-            "default_time_s": self.default_time,
+            "best_time_s": o.best_time,
+            "default_time_s": o.default_time,
             "scaled_cost": scaled_cost,
-            "tuning_time_s": self.tuning_time,
+            "tuning_time_s": o.tuning_time,
         }))
     }
 }
@@ -705,12 +719,12 @@ pub struct SessionSink {
 
 impl TuneObserver for SessionSink {
     fn on_event(&self, event: ProgressEvent) {
-        let mut session = self.handle.lock();
+        let outcome = &mut self.handle.lock().outcome;
         match event {
-            ProgressEvent::PromptBuilt { tokens } => session.workload_tokens = Some(tokens),
-            ProgressEvent::ConfigSampled { index, .. } => session.samples_done = index + 1,
-            ProgressEvent::RoundStarted { round, .. } => session.rounds_started = round,
-            ProgressEvent::Improvement { point, .. } => session.trajectory.push(point),
+            ProgressEvent::PromptBuilt { tokens } => outcome.workload_tokens = Some(tokens),
+            ProgressEvent::ConfigSampled { index, .. } => outcome.samples_done = index + 1,
+            ProgressEvent::RoundStarted { round, .. } => outcome.rounds_started = round,
+            ProgressEvent::Improvement { point, .. } => outcome.trajectory.push(point),
         }
     }
 
@@ -762,14 +776,7 @@ impl SessionRegistry {
                 request,
                 state: SessionState::Queued,
                 error: None,
-                trajectory: Vec::new(),
-                samples_done: 0,
-                rounds_started: 0,
-                workload_tokens: None,
-                best_script: None,
-                best_time: None,
-                default_time: None,
-                tuning_time: None,
+                outcome: Outcome::default(),
                 drift: DriftStatus::default(),
                 serving: None,
             })),
@@ -883,6 +890,7 @@ impl SessionRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lambda_tune::TrajectoryPoint;
     use lt_common::json::parse;
 
     #[test]
@@ -1058,10 +1066,10 @@ mod tests {
         });
         {
             let s = handle.lock();
-            assert_eq!(s.workload_tokens, Some(123));
-            assert_eq!(s.samples_done, 1);
-            assert_eq!(s.rounds_started, 1);
-            assert_eq!(s.trajectory.len(), 1);
+            assert_eq!(s.outcome.workload_tokens, Some(123));
+            assert_eq!(s.outcome.samples_done, 1);
+            assert_eq!(s.outcome.rounds_started, 1);
+            assert_eq!(s.outcome.trajectory.len(), 1);
         }
         assert!(!sink.cancelled());
         handle.cancel();
@@ -1077,10 +1085,10 @@ mod tests {
             let mut s = handle.lock();
             assert!(s.config_json().is_none(), "no config before completion");
             s.state = SessionState::Done;
-            s.best_script = Some("SET work_mem = '1GB';".into());
-            s.best_time = Some(25.0);
-            s.default_time = Some(100.0);
-            s.tuning_time = Some(300.0);
+            s.outcome.best_script = Some("SET work_mem = '1GB';".into());
+            s.outcome.best_time = Some(25.0);
+            s.outcome.default_time = Some(100.0);
+            s.outcome.tuning_time = Some(300.0);
         }
         let s = handle.lock();
         let status = s.status_json();

@@ -15,7 +15,10 @@
 //! | `transition` | state changes (terminal ⇒ fsync)   | id, state, optional error       |
 //! | `done`       | (re-)tune completion (fsync)       | id, retune count, full outcome  |
 //! | `feed`       | query feed, before the 200 (fsync) | id, the SQL batch               |
-//! | `fleet`      | fleet-cache publication            | serialized key + entry          |
+//!
+//! Logs written before the fleet cache was rebuilt from `done` records
+//! also hold `fleet` records; they no longer decode, so replay skips them
+//! (`wal.records_skipped`) and the compaction on open drops them.
 //!
 //! # Recovery state machine
 //!
@@ -29,7 +32,9 @@
 //! - `done` with a winner → fields restored from the snapshot, and the
 //!   serving state rebuilt exactly the way the worker builds it: fresh
 //!   seeded `SimDb`, winner script applied, drift monitor referenced on the
-//!   tuned workload — then every logged `feed` re-executed in order;
+//!   tuned workload — then every logged `feed` re-executed in order; the
+//!   first `done` record's outcome (`retunes: 0`) also refills the fleet
+//!   cache ([`crate::cache`]) under the session's request key;
 //! - a trailing `retuning` transition without its `done` → the serving
 //!   state is restored and exactly one warm re-tune is re-queued (the
 //!   `done` record's retune counter makes replay idempotent, so a re-tune
@@ -41,18 +46,17 @@
 //! The log is truncated by snapshotting: on open (and every
 //! [`COMPACT_EVERY`] appends) the file is atomically rewritten with
 //! only the records replay still needs — non-terminal transitions,
-//! superseded advisory errors, removed sessions and duplicate fleet
-//! publications drop out; `done` and `feed` records are retained because
-//! serving-database replay needs the full feed history.
+//! superseded advisory errors and removed sessions drop out; `done` and
+//! `feed` records are retained because serving-database replay needs the
+//! full feed history.
 
+use crate::cache::{FleetCache, FleetKey};
 use crate::pool::WorkerPool;
 use crate::session::{SessionHandle, SessionRegistry, SessionState, TuneRequest};
 use lambda_tune::TrajectoryPoint;
 use lt_common::json::{parse, Value};
 use lt_common::wal::{read_log, rewrite_log, LogWriter, Tail, WalOptions};
 use lt_common::{json, obs, secs};
-use lt_fleet::{fleet_entry_from_json, fleet_key_from_json, FleetCache};
-use lt_workloads::Workload;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -61,29 +65,33 @@ use std::sync::Mutex;
 /// Records in the file beyond which an append takes a compaction snapshot.
 const COMPACT_EVERY: u64 = 4096;
 
-/// Everything a `done` record snapshots: the session's outcome fields in
-/// absolute form, so replaying the *last* `done` record alone reproduces
-/// the scalar state (the serving database still needs the feed history).
-#[derive(Debug, Clone, PartialEq)]
+/// The one record of a finished tune or re-tune: the session holds it, the
+/// `done` record snapshots it, and the fleet cache keeps the cold run's
+/// copy. All fields are absolute, so replaying the *last* `done` record
+/// alone reproduces the scalar state (the serving database still needs the
+/// feed history).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Outcome {
     /// Winning configuration script.
     pub best_script: Option<String>,
     /// Workload time under the winner, virtual seconds.
     pub best_time: Option<f64>,
-    /// Workload time under the default configuration.
+    /// Workload time under the default configuration, virtual seconds
+    /// (denominator of the scaled cost).
     pub default_time: Option<f64>,
     /// Cumulative virtual tuning time.
     pub tuning_time: Option<f64>,
-    /// Prompt workload-description tokens.
+    /// Prompt workload-description tokens (known after prompt build).
     pub workload_tokens: Option<usize>,
     /// LLM samples received.
     pub samples_done: usize,
     /// Selector rounds started.
     pub rounds_started: usize,
-    /// The prompt of the latest (re-)tune — warm-start memory.
+    /// The prompt of the latest (re-)tune whose winner the session serves
+    /// (empty without one) — the warm-start memory of the next re-tune.
     pub prompt: String,
-    /// Improvement trajectory, `(opt_time_s, best_workload_time_s)`.
-    pub trajectory: Vec<(f64, f64)>,
+    /// Improvement trajectory, streamed from the selector as it happens.
+    pub trajectory: Vec<TrajectoryPoint>,
 }
 
 /// One write-ahead-log record; see the module docs for the schema.
@@ -132,45 +140,19 @@ pub enum SessionRecord {
         /// The batch, in execution order.
         sqls: Vec<String>,
     },
-    /// A fleet-cache publication (see `lt_fleet`): replayed into the
-    /// process-global cache so warm restarts keep their amortization.
-    Fleet {
-        /// [`lt_fleet::fleet_key_to_json`] form.
-        key: Value,
-        /// [`lt_fleet::fleet_entry_to_json`] form.
-        entry: Value,
-    },
 }
 
 impl Outcome {
-    /// Snapshots a locked session's outcome fields.
-    pub fn of(s: &crate::session::Session) -> Outcome {
-        Outcome {
-            best_script: s.best_script.clone(),
-            best_time: s.best_time,
-            default_time: s.default_time,
-            tuning_time: s.tuning_time,
-            workload_tokens: s.workload_tokens,
-            samples_done: s.samples_done,
-            rounds_started: s.rounds_started,
-            prompt: s
-                .serving
-                .as_ref()
-                .map(|sv| sv.memory.prompt.clone())
-                .unwrap_or_default(),
-            trajectory: s
-                .trajectory
-                .iter()
-                .map(|p| (p.opt_time.as_f64(), p.best_workload_time.as_f64()))
-                .collect(),
-        }
-    }
-
     fn to_json(&self) -> Value {
         let trajectory: Vec<Value> = self
             .trajectory
             .iter()
-            .map(|&(o, b)| json!({ "opt_time_s": o, "best_workload_time_s": b }))
+            .map(|p| {
+                json!({
+                    "opt_time_s": p.opt_time.as_f64(),
+                    "best_workload_time_s": p.best_workload_time.as_f64(),
+                })
+            })
             .collect();
         json!({
             "best_script": self.best_script.as_deref(),
@@ -192,10 +174,10 @@ impl Outcome {
         };
         let mut trajectory = Vec::new();
         for p in doc.get("trajectory")?.as_array()? {
-            trajectory.push((
-                p.get("opt_time_s")?.as_f64()?,
-                p.get("best_workload_time_s")?.as_f64()?,
-            ));
+            trajectory.push(TrajectoryPoint {
+                opt_time: secs(p.get("opt_time_s")?.as_f64()?),
+                best_workload_time: secs(p.get("best_workload_time_s")?.as_f64()?),
+            });
         }
         Some(Outcome {
             best_script: match doc.get("best_script")? {
@@ -253,11 +235,6 @@ impl SessionRecord {
                 "id": *id as i64,
                 "sqls": sqls.clone(),
             }),
-            SessionRecord::Fleet { key, entry } => json!({
-                "type": "fleet",
-                "key": key.clone(),
-                "entry": entry.clone(),
-            }),
         }
     }
 
@@ -294,10 +271,6 @@ impl SessionRecord {
                     .map(|v| v.as_str().map(str::to_string))
                     .collect::<Option<_>>()?,
             },
-            "fleet" => SessionRecord::Fleet {
-                key: doc.get("key")?.clone(),
-                entry: doc.get("entry")?.clone(),
-            },
             _ => None?,
         })
     }
@@ -306,15 +279,14 @@ impl SessionRecord {
         self.to_json().to_string_pretty().into_bytes()
     }
 
-    /// The session id the record belongs to; `None` for fleet records.
-    pub fn id(&self) -> Option<u64> {
+    /// The session id the record belongs to.
+    pub fn id(&self) -> u64 {
         match self {
             SessionRecord::Created { id, .. }
             | SessionRecord::Removed { id }
             | SessionRecord::Transition { id, .. }
             | SessionRecord::Done { id, .. }
-            | SessionRecord::Feed { id, .. } => Some(*id),
-            SessionRecord::Fleet { .. } => None,
+            | SessionRecord::Feed { id, .. } => *id,
         }
     }
 }
@@ -345,8 +317,7 @@ fn decode_records(payloads: &[Vec<u8>]) -> Vec<SessionRecord> {
 /// - all records of sessions that were `removed`,
 /// - non-terminal `transition`s (`tuning`), and `retuning` transitions
 ///   superseded by a later `done`,
-/// - advisory-error transitions other than the last one per session,
-/// - `fleet` records with a duplicate key (last one wins).
+/// - advisory-error transitions other than the last one per session.
 ///
 /// `replay(compact_records(r))` and `replay(r)` restore identical state —
 /// the property the WAL edge-case suite pins down.
@@ -357,7 +328,6 @@ pub fn compact_records(records: &[SessionRecord]) -> Vec<SessionRecord> {
     // transitions before it, and of the last advisory transition.
     let mut last_done: HashMap<u64, usize> = HashMap::new();
     let mut last_advisory: HashMap<u64, usize> = HashMap::new();
-    let mut last_fleet: HashMap<String, usize> = HashMap::new();
     for (i, record) in records.iter().enumerate() {
         match record {
             SessionRecord::Removed { id } => {
@@ -373,15 +343,12 @@ pub fn compact_records(records: &[SessionRecord]) -> Vec<SessionRecord> {
             } => {
                 last_advisory.insert(*id, i);
             }
-            SessionRecord::Fleet { key, .. } => {
-                last_fleet.insert(key.to_string_pretty(), i);
-            }
             _ => {}
         }
     }
     let mut out = Vec::with_capacity(records.len());
     for (i, record) in records.iter().enumerate() {
-        if record.id().is_some_and(|id| removed.contains(&id)) {
+        if removed.contains(&record.id()) {
             continue;
         }
         let keep = match record {
@@ -392,7 +359,6 @@ pub fn compact_records(records: &[SessionRecord]) -> Vec<SessionRecord> {
                 SessionState::Done => last_advisory.get(id) == Some(&i),
                 SessionState::Failed | SessionState::Cancelled => true,
             },
-            SessionRecord::Fleet { key, .. } => last_fleet.get(&key.to_string_pretty()) == Some(&i),
             _ => true,
         };
         if keep {
@@ -441,13 +407,11 @@ pub enum ReplayOp {
     },
 }
 
-/// The full replayed log: per-session histories plus fleet publications.
+/// The full replayed log: per-session histories.
 #[derive(Debug, Default)]
 pub struct Replay {
     /// Sessions by ascending id.
     pub sessions: Vec<ReplaySession>,
-    /// Fleet-cache publications, `(key, entry)` documents in log order.
-    pub fleet: Vec<(Value, Value)>,
 }
 
 /// Folds a record stream into recovery state. Pure — no registry, no I/O —
@@ -457,7 +421,6 @@ pub struct Replay {
 /// next one the session expects.
 pub fn replay(records: &[SessionRecord]) -> Replay {
     let mut sessions: BTreeMap<u64, ReplaySession> = BTreeMap::new();
-    let mut fleet = Vec::new();
     for record in records {
         match record {
             SessionRecord::Created {
@@ -544,14 +507,10 @@ pub fn replay(records: &[SessionRecord]) -> Replay {
                     s.ops.push(ReplayOp::Feed { sqls: sqls.clone() });
                 }
             }
-            SessionRecord::Fleet { key, entry } => {
-                fleet.push((key.clone(), entry.clone()));
-            }
         }
     }
     Replay {
         sessions: sessions.into_values().collect(),
-        fleet,
     }
 }
 
@@ -564,7 +523,7 @@ pub struct RestoreStats {
     pub requeued: usize,
     /// Unfinished re-tunes re-queued.
     pub retunes_requeued: usize,
-    /// Fleet-cache entries republished.
+    /// Fleet-cache entries refilled from first `done` records.
     pub fleet: usize,
     /// Histories skipped because their request or payload no longer parses.
     pub skipped: usize,
@@ -578,22 +537,6 @@ pub fn restore(
     replay: Replay,
 ) -> RestoreStats {
     let mut stats = RestoreStats::default();
-    let fleet_cache = FleetCache::global();
-    for (key_doc, entry_doc) in &replay.fleet {
-        match (
-            fleet_key_from_json(key_doc),
-            fleet_entry_from_json(entry_doc),
-        ) {
-            (Some(key), Some(entry)) => {
-                fleet_cache.insert(key, entry);
-                stats.fleet += 1;
-            }
-            _ => {
-                stats.skipped += 1;
-                obs::counter("wal.fleet_skipped", 1);
-            }
-        }
-    }
     for rs in replay.sessions {
         let Ok(request) = TuneRequest::from_json(&rs.request) else {
             stats.skipped += 1;
@@ -601,7 +544,9 @@ pub fn restore(
             continue;
         };
         let handle = registry.restore_handle(rs.id, &rs.tenant, request.clone());
-        restore_session(&handle, &request, &rs);
+        if restore_session(&handle, &request, &rs) {
+            stats.fleet += 1;
+        }
         stats.sessions += 1;
         match rs.state {
             SessionState::Queued | SessionState::Tuning => {
@@ -631,31 +576,22 @@ pub fn restore(
 
 /// Applies one replayed history to a freshly restored session: outcome
 /// snapshots rebuild scalar state and the serving database; feeds
-/// re-execute on it in order.
-fn restore_session(handle: &SessionHandle, request: &TuneRequest, rs: &ReplaySession) {
+/// re-execute on it in order. The first tune's outcome goes back into the
+/// fleet cache, as the worker published it; returns whether there was one.
+fn restore_session(handle: &SessionHandle, request: &TuneRequest, rs: &ReplaySession) -> bool {
     let mut s = handle.lock();
+    let mut refilled = false;
     for op in &rs.ops {
         match op {
             ReplayOp::Complete { retunes, outcome } => {
-                s.best_script = outcome.best_script.clone();
-                s.best_time = outcome.best_time;
-                s.default_time = outcome.default_time;
-                s.tuning_time = outcome.tuning_time;
-                s.workload_tokens = outcome.workload_tokens;
-                s.samples_done = outcome.samples_done;
-                s.rounds_started = outcome.rounds_started;
-                s.trajectory = outcome
-                    .trajectory
-                    .iter()
-                    .map(|&(o, b)| TrajectoryPoint {
-                        opt_time: secs(o),
-                        best_workload_time: secs(b),
-                    })
-                    .collect();
+                s.outcome = outcome.clone();
                 if *retunes == 0 {
+                    let workload = request.benchmark.load();
+                    let key = FleetKey::for_request(request, &workload);
+                    FleetCache::global().insert(key, outcome.clone());
+                    refilled = true;
                     if let Some(script) = &outcome.best_script {
-                        s.serving =
-                            Some(crate::pool::build_serving(request, script, &outcome.prompt));
+                        s.serving = Some(crate::pool::build_serving(request, &workload, script));
                     }
                 } else if let (Some(serving), Some(script)) =
                     (s.serving.as_mut(), outcome.best_script.as_deref())
@@ -664,21 +600,8 @@ fn restore_session(handle: &SessionHandle, request: &TuneRequest, rs: &ReplaySes
                     // worker did: the observed workload is the recent-query
                     // window as it stood then, which the replayed feeds
                     // have just rebuilt.
-                    let pairs: Vec<(&str, String)> = serving
-                        .recent
-                        .iter()
-                        .map(|(label, sql)| (label.as_str(), sql.clone()))
-                        .collect();
-                    if let Ok(workload) =
-                        Workload::from_sql("observed", serving.db.catalog().clone(), &pairs)
-                    {
-                        crate::pool::adopt_retune(
-                            serving,
-                            request,
-                            script,
-                            &outcome.prompt,
-                            &workload,
-                        );
+                    if let Ok(workload) = serving.observed_workload() {
+                        crate::pool::adopt_retune(serving, request, script, &workload);
                         s.drift.retunes = *retunes;
                     } else {
                         obs::counter("wal.retune_replay_failed", 1);
@@ -686,20 +609,11 @@ fn restore_session(handle: &SessionHandle, request: &TuneRequest, rs: &ReplaySes
                 }
             }
             ReplayOp::Feed { sqls } => {
-                let observed = s.drift.queries_observed;
                 let Some(serving) = s.serving.as_mut() else {
                     obs::counter("wal.feed_skipped", 1);
                     continue;
                 };
-                let labels: Vec<String> = (0..sqls.len())
-                    .map(|i| format!("f{}", observed + 1 + i as u64))
-                    .collect();
-                let pairs: Vec<(&str, String)> = labels
-                    .iter()
-                    .zip(sqls)
-                    .map(|(label, sql)| (label.as_str(), sql.clone()))
-                    .collect();
-                match Workload::from_sql("feed", serving.db.catalog().clone(), &pairs) {
+                match serving.feed_workload(sqls) {
                     Ok(workload) => {
                         let events = serving.observe_queries(&workload);
                         let now_observed = serving.monitor.observed();
@@ -714,6 +628,7 @@ fn restore_session(handle: &SessionHandle, request: &TuneRequest, rs: &ReplaySes
     s.state = rs.state;
     s.error = rs.error.clone();
     s.drift.last_error = rs.last_error.clone();
+    refilled
 }
 
 #[derive(Debug)]

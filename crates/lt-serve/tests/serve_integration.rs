@@ -851,6 +851,62 @@ fn shutdown_drains_inflight_sessions() {
     let _ = ids;
 }
 
+/// The fleet cache is rebuilt from the log: a daemon restarted on its WAL
+/// dir, with the process-wide cache emptied, serves a resubmitted request
+/// from the first run's `done` record — a hit that samples nothing and
+/// answers the cold run's configuration.
+#[test]
+fn restart_refills_the_fleet_cache_from_done_records() {
+    let dir = std::env::temp_dir().join(format!("lt_serve_refill_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServerConfig {
+        workers: 1,
+        wal_dir: Some(dir.display().to_string()),
+        ..ServerConfig::default()
+    };
+    // A seed no other test uses: the fleet cache is process-global.
+    let body = r#"{"seed": 9600, "num_configs": 2}"#;
+    let get = |addr: SocketAddr, path: &str| {
+        let (status, body) = request(addr, "GET", path, None).expect("GET");
+        assert_eq!(status, 200, "{path}: {body}");
+        body
+    };
+    // A config document with its session id dropped.
+    let without_id = |body: &str| match parse(body).expect("JSON") {
+        Value::Object(fields) => fields.into_iter().filter(|(k, _)| k != "id").collect(),
+        other => panic!("not an object: {other:?}"),
+    };
+
+    let mut server = start(config.clone()).expect("bind loopback");
+    let (status, doc) = post_session(server.addr(), body);
+    assert_eq!(status, 202);
+    let cold = doc.get("id").and_then(Value::as_i64).unwrap();
+    assert_eq!(wait_terminal(server.addr(), cold), "done");
+    let cold_config = get(server.addr(), &format!("/sessions/{cold}/config"));
+    server.shutdown();
+
+    lt_serve::cache::FleetCache::global().clear();
+    let mut server = start(config).expect("restart on the same WAL dir");
+    let addr = server.addr();
+    assert_eq!(get(addr, &format!("/sessions/{cold}/config")), cold_config);
+    let (status, doc) = post_session(addr, body);
+    assert_eq!(status, 202);
+    let hit = doc.get("id").and_then(Value::as_i64).unwrap();
+    assert_eq!(wait_terminal(addr, hit), "done");
+    let status = parse(&get(addr, &format!("/sessions/{hit}"))).unwrap();
+    assert_eq!(
+        status.get("samples_done").and_then(Value::as_i64),
+        Some(0),
+        "a hit samples nothing: {}",
+        status.to_string_pretty()
+    );
+    let hit_config = get(addr, &format!("/sessions/{hit}/config"));
+    let (a, b): (Vec<_>, Vec<_>) = (without_id(&cold_config), without_id(&hit_config));
+    assert_eq!(a, b);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Zero-valued sizing flags are usage errors, not silently clamped to 1.
 #[test]
 fn zero_sizing_flags_exit_with_usage_status() {

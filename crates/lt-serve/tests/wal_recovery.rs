@@ -3,9 +3,12 @@
 //! replay/compaction layer and [`SessionLog`] directly; end-to-end crash
 //! recovery through the HTTP service is `crash-bench`'s job.
 
+use lambda_tune::TrajectoryPoint;
 use lt_common::json;
-use lt_serve::wal::{compact_records, replay, Outcome, Replay, SessionLog, SessionRecord};
-use lt_serve::SessionState;
+use lt_common::json::Value;
+use lt_common::secs;
+use lt_serve::wal::{compact_records, replay, restore, Outcome, Replay, SessionLog, SessionRecord};
+use lt_serve::{SessionRegistry, SessionState};
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,7 +34,14 @@ fn outcome(script: &str, best: f64) -> Outcome {
         samples_done: 4,
         rounds_started: 2,
         prompt: format!("prompt for {script}"),
-        trajectory: vec![(0.5, best * 2.0), (1.5, best)],
+        trajectory: vec![point(0.5, best * 2.0), point(1.5, best)],
+    }
+}
+
+fn point(opt_time: f64, best_workload_time: f64) -> TrajectoryPoint {
+    TrajectoryPoint {
+        opt_time: secs(opt_time),
+        best_workload_time: secs(best_workload_time),
     }
 }
 
@@ -51,34 +61,18 @@ fn transition(id: u64, state: SessionState) -> SessionRecord {
     }
 }
 
-/// Collapses a replay into a comparable form. Fleet publications compare
-/// as final cache state (last entry per key), which is what both the raw
-/// and the compacted log produce when re-inserted in order.
-fn summarize(r: &Replay) -> (Vec<String>, Vec<(String, String)>) {
-    let sessions = r.sessions.iter().map(|s| format!("{s:?}")).collect();
-    let mut fleet: Vec<(String, String)> = Vec::new();
-    for (key, entry) in &r.fleet {
-        let key = key.to_string_pretty();
-        let entry = entry.to_string_pretty();
-        fleet.retain(|(k, _)| *k != key);
-        fleet.push((key, entry));
-    }
-    fleet.sort();
-    (sessions, fleet)
+/// Collapses a replay into a comparable form.
+fn summarize(r: &Replay) -> Vec<String> {
+    r.sessions.iter().map(|s| format!("{s:?}")).collect()
 }
 
 /// A representative history: two completed sessions (one with feeds and a
 /// finished re-tune), one failed, one removed after admission, one still
-/// queued, plus duplicate fleet publications.
+/// queued.
 fn scenario() -> Vec<SessionRecord> {
-    let fleet_key = json!({ "benchmark": "tpch-sf1", "dbms": "postgres" });
     vec![
         created(1),
         transition(1, SessionState::Tuning),
-        SessionRecord::Fleet {
-            key: fleet_key.clone(),
-            entry: json!({ "script": "SET a = 1;", "version": 1 }),
-        },
         SessionRecord::Done {
             id: 1,
             retunes: 0,
@@ -103,10 +97,6 @@ fn scenario() -> Vec<SessionRecord> {
         },
         created(3),
         SessionRecord::Removed { id: 3 },
-        SessionRecord::Fleet {
-            key: fleet_key,
-            entry: json!({ "script": "SET a = 2;", "version": 2 }),
-        },
         created(4),
     ]
 }
@@ -315,13 +305,8 @@ fn compaction_preserves_replay() {
     );
     assert_eq!(summarize(&replay(&compacted)), summarize(&replay(&records)));
 
-    // The removed session and the superseded fleet entry are gone.
-    assert!(!compacted.iter().any(|r| r.id() == Some(3)));
-    let fleet: Vec<_> = compacted
-        .iter()
-        .filter(|r| matches!(r, SessionRecord::Fleet { .. }))
-        .collect();
-    assert_eq!(fleet.len(), 1, "one fleet record per key after compaction");
+    // The removed session is gone.
+    assert!(!compacted.iter().any(|r| r.id() == 3));
 }
 
 #[test]
@@ -348,4 +333,87 @@ fn compaction_is_idempotent() {
     let once = compact_records(&records);
     let twice = compact_records(&once);
     assert_eq!(once, twice);
+}
+
+/// A log from before the fleet cache was rebuilt from `done` records: the
+/// worker also logged each cold tune's cache entry as a `fleet` record.
+/// Those records no longer decode, so every session recovers from its own
+/// records, and the compaction on open leaves no `fleet` record behind.
+#[test]
+fn a_log_with_fleet_records_recovers_every_session_and_drops_them() {
+    let dir = fresh_dir("fleet-records");
+    std::fs::create_dir_all(&dir).unwrap();
+    let fleet = json!({
+        "type": "fleet",
+        "key": json!({
+            "catalog": "470a8c3c2bd1e12b",
+            "backend": "eb3a1bd1c6deb20b",
+            "dbms": "postgres",
+            "memory_bytes": "0000000f40000000",
+            "cores": 8,
+            "profile": "835151b3f5cd2aff",
+            "options": "f0c9abef4bdd4fc9",
+            "initial_config": "2b44b1b4e2ab206b",
+        }),
+        "entry": json!({
+            "config_scripts": vec!["SET shared_buffers = '4GB';".to_string()],
+            "best_index": 0,
+            "best_time_s": 10.0,
+            "trajectory": Value::Array(Vec::new()),
+            "llm_calls": 1,
+            "llm_prompt_tokens": 900,
+            "llm_completion_tokens": 120,
+            "workload_tokens": 420,
+            "rounds": 2,
+            "tuning_time_s": 1.5,
+            "prompt": "prompt",
+            "default_time_s": 20.0,
+        }),
+    });
+    let docs = [
+        created(1).to_json(),
+        fleet,
+        SessionRecord::Done {
+            id: 1,
+            retunes: 0,
+            outcome: outcome("SET shared_buffers = '4GB';", 10.0),
+        }
+        .to_json(),
+        created(2).to_json(),
+    ];
+    let path = dir.join("sessions.wal");
+    lt_common::wal::rewrite_log(
+        &path,
+        docs.iter().map(|d| d.to_string_pretty().into_bytes()),
+        false,
+    )
+    .unwrap();
+
+    let (log, records) = SessionLog::open(&dir).expect("open");
+    assert_eq!(records.len(), 3, "the fleet record is skipped");
+    let registry = SessionRegistry::new();
+    let stats = restore(&registry, None, replay(&records));
+    assert_eq!(stats.sessions, 2);
+    assert_eq!(stats.fleet, 1, "the done record refills the cache");
+    assert_eq!(
+        registry.states(),
+        vec![(1, SessionState::Done), (2, SessionState::Queued)]
+    );
+    let restored = registry.get(1).unwrap();
+    assert_eq!(
+        restored.lock().outcome,
+        outcome("SET shared_buffers = '4GB';", 10.0)
+    );
+    drop(log);
+
+    let types: Vec<String> = lt_common::wal::read_log(&path)
+        .unwrap()
+        .records
+        .iter()
+        .map(|p| {
+            let doc = json::parse(std::str::from_utf8(p).unwrap()).unwrap();
+            doc.get("type").and_then(Value::as_str).unwrap().to_string()
+        })
+        .collect();
+    assert_eq!(types, ["created", "done", "created"]);
 }
