@@ -128,12 +128,6 @@ fn wait_terminal(addr: SocketAddr, id: i64) -> String {
             .and_then(Value::as_str)
             .unwrap_or_default()
             .to_string();
-        let retuning = doc
-            .get("drift")
-            .and_then(|d| d.get("retunes"))
-            .and_then(Value::as_i64)
-            .unwrap_or(0);
-        let _ = retuning;
         if matches!(state.as_str(), "done" | "failed" | "cancelled") {
             return state;
         }

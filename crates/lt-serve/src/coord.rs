@@ -113,7 +113,8 @@ struct CoordState {
     /// refused proxy connects.
     alive: Vec<AtomicBool>,
     /// session id → index into `shards`. Placement is decided once at
-    /// admission and never moves (the session's WAL lives there).
+    /// admission and never moves (the session's WAL lives there); the
+    /// probe forgets it once the live owner no longer lists the session.
     placements: Mutex<HashMap<u64, usize>>,
     /// tenant → ids believed non-terminal; the admission ledger. Updated
     /// optimistically on submit, reconciled against shard `/sessions`
@@ -457,10 +458,10 @@ fn is_terminal(doc: &Value) -> bool {
         .is_some_and(SessionState::is_terminal)
 }
 
-/// Every live shard's `GET /sessions` rows as `(id, row)`. A shard that
-/// does not answer contributes nothing.
-fn live_session_rows(state: &CoordState) -> Vec<(u64, Value)> {
-    let mut rows = Vec::new();
+/// Every live shard's `GET /sessions` rows as `(id, row)`, by shard
+/// index. A shard that is dead or does not answer has no entry.
+fn live_listings(state: &CoordState) -> Vec<(usize, Vec<(u64, Value)>)> {
+    let mut listings = Vec::new();
     for (index, shard) in state.shards.iter().enumerate() {
         if !state.is_alive(index) {
             continue;
@@ -471,20 +472,26 @@ fn live_session_rows(state: &CoordState) -> Vec<(u64, Value)> {
         let Ok(doc) = lt_common::json::parse(&body) else {
             continue;
         };
-        for row in doc.get("sessions").and_then(Value::as_array).unwrap_or(&[]) {
-            if let Some(id) = row.get("id").and_then(Value::as_i64) {
-                rows.push((id as u64, row.clone()));
-            }
-        }
+        let rows = doc
+            .get("sessions")
+            .and_then(Value::as_array)
+            .unwrap_or(&[])
+            .iter()
+            .filter_map(|row| Some((row.get("id")?.as_i64()? as u64, row.clone())))
+            .collect();
+        listings.push((index, rows));
     }
-    rows
+    listings
 }
 
 /// `GET /sessions`: the union of every live shard's session list,
 /// id-ascending; dead shards' sessions are listed from the placement map
 /// with state `"unavailable"`.
 fn list_sessions(state: &CoordState) -> Response {
-    let mut rows = live_session_rows(state);
+    let mut rows: Vec<(u64, Value)> = live_listings(state)
+        .into_iter()
+        .flat_map(|(_, rows)| rows)
+        .collect();
     let placements = lock(&state.placements);
     for (&id, &index) in placements.iter() {
         if !state.is_alive(index) {
@@ -537,20 +544,7 @@ fn metrics(state: &CoordState) -> Response {
 /// reconciles the admission ledger against live shards' session lists.
 fn probe_loop(state: &CoordState) {
     while !state.shutdown.is_requested() {
-        for (index, shard) in state.shards.iter().enumerate() {
-            let healthy = matches!(
-                request_with(shard.addr, "GET", "/shard/healthz", &[], None),
-                Ok((200, _, _))
-            );
-            let was = state.alive[index].swap(healthy, Ordering::SeqCst);
-            if was && !healthy {
-                obs::counter("coord.shard_deaths", 1);
-                obs::counter("coord.probe_failures", 1);
-            } else if !was && healthy {
-                obs::counter("coord.shard_recoveries", 1);
-            }
-        }
-        reconcile_active(state);
+        probe(state);
         // Sleep in small steps so shutdown is prompt even with slow probes.
         let mut remaining = state.probe_ms;
         while remaining > 0 && !state.shutdown.is_requested() {
@@ -561,22 +555,64 @@ fn probe_loop(state: &CoordState) {
     }
 }
 
-/// Exact reconciliation of the admission ledger: ask every live shard for
-/// its `(id, state)` list and retire ids that went terminal without a
-/// client ever polling them. Ids on dead shards stay counted — their
-/// sessions still exist and will resume on recovery.
+/// One probe round: every shard's liveness from `/shard/healthz`, then
+/// [`reconcile_active`].
+fn probe(state: &CoordState) {
+    for (index, shard) in state.shards.iter().enumerate() {
+        let healthy = matches!(
+            request_with(shard.addr, "GET", "/shard/healthz", &[], None),
+            Ok((200, _, _))
+        );
+        let was = state.alive[index].swap(healthy, Ordering::SeqCst);
+        if was && !healthy {
+            obs::counter("coord.shard_deaths", 1);
+            obs::counter("coord.probe_failures", 1);
+        } else if !was && healthy {
+            obs::counter("coord.shard_recoveries", 1);
+        }
+    }
+    reconcile_active(state);
+}
+
+/// Exact reconciliation against every live shard's `(id, state)` list:
+/// ids that went terminal without a client ever polling them leave the
+/// admission ledger, and ids the live owner no longer lists (a shard
+/// retires delivered sessions) leave the ledger and the placements. Ids
+/// on dead shards stay — their sessions still exist and will resume on
+/// recovery.
+///
+/// Only placements taken before the listings were requested count as
+/// gone: a placement is recorded after the shard's 202 to
+/// `/shard/adopt`, so the shard had registered each of them before it
+/// listed, and a session admitted during the probe is never dropped.
 fn reconcile_active(state: &CoordState) {
-    let terminal: HashSet<u64> = live_session_rows(state)
+    let placed: Vec<(u64, usize)> = lock(&state.placements)
+        .iter()
+        .map(|(&id, &index)| (id, index))
+        .collect();
+    let mut terminal = HashSet::new();
+    let mut listed: HashMap<usize, HashSet<u64>> = HashMap::new();
+    for (index, rows) in live_listings(state) {
+        let ids = listed.entry(index).or_default();
+        for (id, row) in rows {
+            if is_terminal(&row) {
+                terminal.insert(id);
+            }
+            ids.insert(id);
+        }
+    }
+    let gone: HashSet<u64> = placed
         .into_iter()
-        .filter(|(_, row)| is_terminal(row))
+        .filter(|(id, index)| listed.get(index).is_some_and(|ids| !ids.contains(id)))
         .map(|(id, _)| id)
         .collect();
-    if terminal.is_empty() {
+    if terminal.is_empty() && gone.is_empty() {
         return;
     }
+    lock(&state.placements).retain(|id, _| !gone.contains(id));
     let mut active = lock(&state.active);
     for ids in active.values_mut() {
-        ids.retain(|id| !terminal.contains(id));
+        ids.retain(|id| !terminal.contains(id) && !gone.contains(id));
     }
     active.retain(|_, ids| !ids.is_empty());
 }
@@ -595,6 +631,13 @@ mod tests {
     }
 
     fn fabric(n: u32) -> (Vec<crate::server::ServerHandle>, CoordinatorHandle) {
+        fabric_probing(n, 50)
+    }
+
+    fn fabric_probing(
+        n: u32,
+        probe_ms: u64,
+    ) -> (Vec<crate::server::ServerHandle>, CoordinatorHandle) {
         let shards: Vec<_> = (0..n).map(|i| start(shard_config(i)).unwrap()).collect();
         let specs = shards
             .iter()
@@ -605,7 +648,7 @@ mod tests {
             })
             .collect();
         let mut config = CoordinatorConfig::new(specs, &ServerConfig::default());
-        config.probe_ms = 50;
+        config.probe_ms = probe_ms;
         let coord = start_coordinator(config).unwrap();
         (shards, coord)
     }
@@ -693,6 +736,60 @@ mod tests {
                 "seed {seed}: fabric and standalone winners must be byte-identical"
             );
         }
+    }
+
+    #[test]
+    fn probe_forgets_retired_sessions_but_keeps_those_on_dead_shards() {
+        use crate::session::RETAINED_SESSIONS;
+        // One probe at start-up, before any session; the test runs the
+        // next one itself.
+        let (mut shards, coord) = fabric_probing(2, 60_000);
+        let state = &coord.state;
+        let get = |addr: SocketAddr, path: &str| crate::http::request(addr, "GET", path, None);
+        // Sessions go through the coordinator, but are read straight from
+        // their shard, so the coordinator never sees them terminal. One
+        // seed throughout (reserved for this test): after the first cold
+        // tune, every session is a fleet-cache hit.
+        let mut placed: Vec<Vec<u64>> = vec![Vec::new(); 2];
+        while placed.iter().all(|ids| ids.len() < RETAINED_SESSIONS + 2) {
+            let id = submit(coord.addr(), 9440);
+            let owner = lock(&state.placements)[&id];
+            let addr = shards[owner].addr();
+            wait_done(addr, id);
+            let (status, body) = get(addr, &format!("/sessions/{id}/config")).unwrap();
+            assert_eq!(status, 200, "{body}");
+            placed[owner].push(id);
+        }
+        let full = usize::from(placed[1].len() > placed[0].len());
+        let other = 1 - full;
+        assert!(!placed[other].is_empty(), "both shards own sessions");
+        // The shard retired its least recently requested delivered session
+        // at the last admission.
+        let retired = placed[full][0];
+        let kept = placed[full][1];
+        let addr = shards[full].addr();
+        assert_eq!(get(addr, &format!("/sessions/{retired}")).unwrap().0, 404);
+        assert_eq!(get(addr, &format!("/sessions/{kept}")).unwrap().0, 200);
+        let dead = placed[other][0];
+        shards.remove(other).shutdown();
+
+        let in_active = |id: u64| lock(&state.active).values().any(|ids| ids.contains(&id));
+        assert!(lock(&state.placements).contains_key(&retired));
+        assert!(in_active(retired) && in_active(dead));
+        probe(state);
+        assert!(!state.is_alive(other));
+        let placements = lock(&state.placements);
+        assert!(
+            !placements.contains_key(&retired),
+            "retired session forgotten"
+        );
+        assert!(placements.contains_key(&kept), "listed session kept");
+        assert!(placements.contains_key(&dead), "dead shard's session kept");
+        drop(placements);
+        assert!(!in_active(retired));
+        assert!(in_active(dead), "a dead shard's session still counts");
+        let (status, _) = get(coord.addr(), &format!("/sessions/{retired}")).unwrap();
+        assert_eq!(status, 404);
     }
 
     #[test]

@@ -21,17 +21,17 @@ use crate::cache::{FleetCache, FleetKey};
 use crate::session::{ServingState, SessionHandle, SessionState, TuneRequest};
 use crate::wal::{Outcome, SessionRecord};
 use lambda_tune::LambdaTune;
-use lt_common::{derive_seed, obs, LtError, Secs};
+use lt_common::{derive_seed, lock, obs, LtError, Secs};
 use lt_dbms::{Configuration, TuningTarget};
 use lt_drift::{
     delta_prompt, retune, DriftMonitor, LabeledProfile, Profile, RetuneOptions, TuneMemory,
     WorkloadDelta,
 };
 use lt_llm::{LlmClient, SimulatedLlm};
-use lt_workloads::Workload;
-use std::collections::{BTreeMap, VecDeque};
+use lt_workloads::{Benchmark, Workload};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 /// One unit of worker-pool work.
@@ -232,6 +232,18 @@ impl Drop for WorkerPool {
     }
 }
 
+/// The benchmark's workload, loaded once per process: [`Benchmark::load`]
+/// rebuilds the catalog and re-parses every query, which a cold tune, a
+/// fleet-cache hit, a re-tune and a recovered session would otherwise each
+/// pay. Every caller only reads it.
+pub(crate) fn shared_workload(benchmark: Benchmark) -> Arc<Workload> {
+    static LOADED: OnceLock<Mutex<HashMap<Benchmark, Arc<Workload>>>> = OnceLock::new();
+    lock(LOADED.get_or_init(Default::default))
+        .entry(benchmark)
+        .or_insert_with(|| Arc::new(benchmark.load()))
+        .clone()
+}
+
 /// Total workload time under the database's *current* configuration with no
 /// cap (the denominator of the scaled cost reported by `/config`).
 fn measure_default(db: &mut dyn TuningTarget, workload: &Workload) -> Secs {
@@ -343,7 +355,7 @@ pub fn run_session(session: &SessionHandle) {
 /// Returns `Ok(true)` when the run was cancelled mid-flight.
 fn tune_session(session: &SessionHandle) -> lt_common::Result<bool> {
     let request = session.lock().request.clone();
-    let workload = request.benchmark.load();
+    let workload = shared_workload(request.benchmark);
     let initial_config = match &request.initial_config {
         Some(script) => {
             let config = Configuration::parse(script, request.dbms, &workload.catalog);
@@ -596,7 +608,7 @@ fn warm_retune(
     // against what it actually served and, when something structural
     // moved, re-tune from a delta prompt (token-bounded by the memory
     // prompt) instead of replaying the stale reference prompt blind.
-    let reference_workload = request.benchmark.load();
+    let reference_workload = shared_workload(request.benchmark);
     let reference = LabeledProfile::from_workload(serving.db.catalog(), &reference_workload);
     let current = LabeledProfile::from_workload(serving.db.catalog(), &workload);
     let delta = WorkloadDelta::between(&reference, &current);

@@ -16,6 +16,13 @@
 //! | GET    | `/shard/healthz`        | Shard control: id, load              |
 //! | POST   | `/shard/adopt`          | Coordinator-placed session (fixed id)|
 //!
+//! Unknown paths and unknown session ids answer 404 — including a session
+//! the daemon retired: at each admission the least recently requested
+//! terminal sessions whose result was delivered (`/config` answered 200,
+//! or a read returned `failed` or `cancelled`) are dropped beyond
+//! [`RETAINED_SESSIONS`], and logged `removed`. `GET /sessions` and the
+//! `sessions` block of `/metrics` count the sessions still held.
+//!
 //! `GET /sessions/<id>?wait_ms=N` long-polls: the response is deferred
 //! (bounded by `N`, capped at [`MAX_WAIT_MS`]) until the session leaves
 //! the state it was in when the request arrived. `wait_ms=0` — and any
@@ -33,7 +40,9 @@
 
 use crate::http::{self, Limits, Request, Response, Role, Shutdown};
 use crate::pool::{SubmitError, WorkerPool};
-use crate::session::{Session, SessionHandle, SessionRegistry, SessionState, TuneRequest};
+use crate::session::{
+    Session, SessionHandle, SessionRegistry, SessionState, TuneRequest, RETAINED_SESSIONS,
+};
 use crate::wal::SessionRecord;
 use lt_common::json::Value;
 use lt_common::{json, obs};
@@ -148,11 +157,13 @@ impl ServerHandle {
     }
 
     /// Graceful shutdown: stop accepting, drain queued sessions, join all
-    /// threads. Idempotent.
+    /// threads, then flush the session log's batched records (retirements
+    /// among them). Idempotent.
     pub fn shutdown(&mut self) {
         self.state.shutdown.request();
         self.wait();
         self.state.pool.shutdown();
+        self.state.registry.sync_wal();
     }
 }
 
@@ -235,16 +246,22 @@ fn route(request: &Request, state: &ServerState) -> Response {
         },
         ["sessions", id, "config"] => match method {
             "GET" => with_session(state, id, |s| {
-                let session = s.lock();
+                let mut session = s.lock();
                 match session.config_json() {
-                    Some(doc) => Response::json(200, &doc),
-                    None => Response::error(
-                        409,
-                        &format!(
-                            "session is {} and has no configuration yet",
-                            session.state.name()
-                        ),
-                    ),
+                    Some(doc) => {
+                        session.delivered = true;
+                        Response::json(200, &doc)
+                    }
+                    None => {
+                        deliver_if_unsuccessful(&mut session);
+                        Response::error(
+                            409,
+                            &format!(
+                                "session is {} and has no configuration yet",
+                                session.state.name()
+                            ),
+                        )
+                    }
                 }
             }),
             _ => Response::method_not_allowed(method, path, "GET"),
@@ -302,12 +319,25 @@ fn session_status(request: &Request, handle: &SessionHandle) -> Response {
         .unwrap_or(0)
         .min(MAX_WAIT_MS);
     let current = handle.lock().state;
-    if wait_ms == 0 || current.is_terminal() {
-        return Response::json(200, &handle.lock().status_json());
-    }
-    obs::counter("serve.long_polls", 1);
-    let session = handle.wait_changed(current, wait_ms);
+    let mut session = if wait_ms == 0 || current.is_terminal() {
+        handle.lock()
+    } else {
+        obs::counter("serve.long_polls", 1);
+        handle.wait_changed(current, wait_ms)
+    };
+    deliver_if_unsuccessful(&mut session);
     Response::json(200, &session.status_json())
+}
+
+/// A read that returns `failed` or `cancelled` delivers that result: the
+/// session may be retired from now on.
+fn deliver_if_unsuccessful(session: &mut Session) {
+    if matches!(
+        session.state,
+        SessionState::Failed | SessionState::Cancelled
+    ) {
+        session.delivered = true;
+    }
 }
 
 /// The `GET /shard/healthz` handler: shard identity plus enough load
@@ -446,7 +476,9 @@ fn submit_session(request: &Request, state: &ServerState) -> Response {
 /// Logs a new session's admission record and queues it — the shared tail
 /// of `POST /sessions` and `POST /shard/adopt`. The record is fsynced
 /// before the 202: once the client has an acknowledgement, a crash cannot
-/// lose the session.
+/// lose the session. An accepted admission then retires the delivered
+/// sessions past [`RETAINED_SESSIONS`], each with a batched `removed`
+/// record: losing one to a crash only brings a finished session back.
 fn enqueue(state: &ServerState, handle: &SessionHandle, tenant: String) -> Response {
     let (id, request) = {
         let s = handle.lock();
@@ -460,6 +492,10 @@ fn enqueue(state: &ServerState, handle: &SessionHandle, tenant: String) -> Respo
     match state.pool.submit(handle.clone()) {
         Ok(()) => {
             obs::counter("serve.sessions_accepted", 1);
+            for retired in state.registry.retire_delivered(RETAINED_SESSIONS) {
+                handle.log(&SessionRecord::Removed { id: retired });
+                obs::counter("serve.sessions_retired", 1);
+            }
             Response::json(202, &json!({ "id": id, "state": "queued" }))
         }
         Err(reason) => {

@@ -43,6 +43,11 @@ pub const MAX_TOKEN_BUDGET: u64 = 10_000_000;
 /// older queries age out so memory stays bounded however long a session
 /// serves.
 pub const RECENT_QUERY_CAP: usize = 256;
+/// Delivered sessions a registry keeps: at each admission, the least
+/// recently requested terminal sessions whose result was delivered are
+/// retired beyond this many ([`SessionRegistry::retire_delivered`]), so a
+/// daemon's memory stays flat however many sessions it serves.
+pub const RETAINED_SESSIONS: usize = 16;
 
 /// Which engine a session's databases run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -545,6 +550,11 @@ pub struct Session {
     /// Live serving state; present only while the session is `Done` (or
     /// briefly `Retuning`) with a best configuration.
     pub serving: Option<ServingState>,
+    /// The result reached a client: a `GET /sessions/<id>/config` answered
+    /// 200, or a read returned `failed` or `cancelled`. Only a terminal
+    /// session with this set may be retired; it is not logged, so a
+    /// restart forgets it.
+    pub delivered: bool,
 }
 
 impl Session {
@@ -628,6 +638,9 @@ pub struct SessionHandle {
     /// Signalled on state transitions; paired with `session` for the
     /// long-poll (`GET /sessions/<id>?wait_ms=...`) wait.
     changed: Arc<Condvar>,
+    /// Registry clock at the session's last request (or its creation); the
+    /// least recently requested delivered session is retired first.
+    requested: Arc<AtomicU64>,
 }
 
 impl SessionHandle {
@@ -739,6 +752,8 @@ pub struct SessionRegistry {
     sessions: Mutex<HashMap<u64, SessionHandle>>,
     next_id: AtomicU64,
     wal: Mutex<Option<Arc<crate::wal::SessionLog>>>,
+    /// Ticks once per lookup or registration; orders retirement.
+    clock: AtomicU64,
 }
 
 impl SessionRegistry {
@@ -748,7 +763,12 @@ impl SessionRegistry {
             sessions: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             wal: Mutex::new(None),
+            clock: AtomicU64::new(0),
         }
+    }
+
+    fn tick(&self) -> u64 {
+        self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Attaches a write-ahead session log: every handle created from now
@@ -759,6 +779,13 @@ impl SessionRegistry {
 
     fn current_wal(&self) -> Option<Arc<crate::wal::SessionLog>> {
         self.wal.lock().unwrap_or_else(|p| p.into_inner()).clone()
+    }
+
+    /// Flushes and fsyncs the attached log's batched records, if any.
+    pub(crate) fn sync_wal(&self) {
+        if let Some(wal) = self.current_wal() {
+            wal.sync();
+        }
     }
 
     fn map(&self) -> MutexGuard<'_, HashMap<u64, SessionHandle>> {
@@ -779,10 +806,12 @@ impl SessionRegistry {
                 outcome: Outcome::default(),
                 drift: DriftStatus::default(),
                 serving: None,
+                delivered: false,
             })),
             cancel: Arc::new(AtomicBool::new(false)),
             wal: self.current_wal(),
             changed: Arc::new(Condvar::new()),
+            requested: Arc::new(AtomicU64::new(self.tick())),
         }
     }
 
@@ -838,14 +867,43 @@ impl SessionRegistry {
         Ok(handle)
     }
 
-    /// Looks a session up by id.
+    /// Looks a session up by id, marking it as just requested: every
+    /// per-session route comes through here.
     pub fn get(&self, id: u64) -> Option<SessionHandle> {
-        self.map().get(&id).cloned()
+        let handle = self.map().get(&id).cloned()?;
+        handle.requested.store(self.tick(), Ordering::Relaxed);
+        Some(handle)
     }
 
     /// Removes a session (used when admission fails after registration).
     pub fn remove(&self, id: u64) {
         self.map().remove(&id);
+    }
+
+    /// Retires delivered sessions beyond `keep`: among the terminal
+    /// sessions whose result was delivered, the least recently requested
+    /// leave the registry until `keep` remain. Returns the retired ids,
+    /// oldest request first. A session nobody fetched is never retired.
+    pub(crate) fn retire_delivered(&self, keep: usize) -> Vec<u64> {
+        let mut map = self.map();
+        let mut delivered: Vec<(u64, u64)> = map
+            .iter()
+            .filter(|(_, h)| {
+                let s = h.lock();
+                s.delivered && s.state.is_terminal()
+            })
+            .map(|(&id, h)| (h.requested.load(Ordering::Relaxed), id))
+            .collect();
+        let excess = delivered.len().saturating_sub(keep);
+        if excess == 0 {
+            return Vec::new();
+        }
+        delivered.sort_unstable();
+        delivered.truncate(excess);
+        for (_, id) in &delivered {
+            map.remove(id);
+        }
+        delivered.into_iter().map(|(_, id)| id).collect()
     }
 
     /// `(id, state)` of every session, id-ascending.
@@ -1043,6 +1101,70 @@ mod tests {
         let counts = registry.state_counts_json();
         assert_eq!(counts.get("tuning").and_then(Value::as_i64), Some(1));
         assert_eq!(counts.get("queued").and_then(Value::as_i64), Some(0));
+    }
+
+    /// A registry of `n` sessions, ids 1..=n, each terminal and delivered.
+    fn delivered_registry(n: usize) -> SessionRegistry {
+        let registry = SessionRegistry::new();
+        let req = TuneRequest::from_json(&parse("{}").unwrap()).unwrap();
+        for _ in 0..n {
+            let handle = registry.create(req.clone());
+            let mut s = handle.lock();
+            s.state = SessionState::Done;
+            s.delivered = true;
+        }
+        registry
+    }
+
+    #[test]
+    fn retirement_takes_the_least_recently_requested_first() {
+        let registry = delivered_registry(4);
+        // Requests reorder the sessions: 3, then 1 are the freshest.
+        registry.get(3);
+        registry.get(1);
+        assert_eq!(registry.retire_delivered(2), vec![2, 4]);
+        let ids: Vec<u64> = registry.states().into_iter().map(|(id, _)| id).collect();
+        assert_eq!(ids, vec![1, 3]);
+        assert!(
+            registry.retire_delivered(2).is_empty(),
+            "nothing past the cap"
+        );
+    }
+
+    #[test]
+    fn undelivered_and_unfinished_sessions_are_never_retired() {
+        let registry = delivered_registry(0);
+        let req = TuneRequest::from_json(&parse("{}").unwrap()).unwrap();
+        // Finished, but nobody fetched the result.
+        for _ in 0..3 {
+            registry.create(req.clone()).lock().state = SessionState::Done;
+        }
+        // Fetched once, then sent back to a worker by a drift alarm.
+        let retuning = registry.create(req.clone());
+        {
+            let mut s = retuning.lock();
+            s.state = SessionState::Retuning;
+            s.delivered = true;
+        }
+        // Delivered but still queued cannot happen through the routes;
+        // the state alone must keep it.
+        let queued = registry.create(req);
+        queued.lock().delivered = true;
+        assert!(registry.retire_delivered(0).is_empty());
+        assert_eq!(registry.states().len(), 5);
+        // Back to done, the re-tuned session is retire-able again.
+        retuning.lock().state = SessionState::Done;
+        assert_eq!(registry.retire_delivered(0), vec![4]);
+    }
+
+    #[test]
+    fn at_most_the_retained_delivered_sessions_survive_retirement() {
+        let registry = delivered_registry(RETAINED_SESSIONS + 5);
+        let retired = registry.retire_delivered(RETAINED_SESSIONS);
+        assert_eq!(retired, (1..=5).collect::<Vec<u64>>(), "oldest first");
+        assert_eq!(registry.states().len(), RETAINED_SESSIONS);
+        assert!(registry.get(1).is_none());
+        assert!(registry.get(6).is_some());
     }
 
     #[test]

@@ -8,13 +8,18 @@
 //!
 //! Each frame payload is one JSON document with a `"type"` tag:
 //!
-//! | type         | written at                         | carries                         |
-//! |--------------|------------------------------------|---------------------------------|
-//! | `created`    | admission, before the 202 (fsync)  | id, tenant, full request        |
-//! | `removed`    | pool rejection after `created`     | id                              |
-//! | `transition` | state changes (terminal ⇒ fsync)   | id, state, optional error       |
-//! | `done`       | (re-)tune completion (fsync)       | id, retune count, full outcome  |
-//! | `feed`       | query feed, before the 200 (fsync) | id, the SQL batch               |
+//! | type         | written at                                          | carries                        |
+//! |--------------|-----------------------------------------------------|--------------------------------|
+//! | `created`    | admission, before the 202 (fsync)                   | id, tenant, full request       |
+//! | `removed`    | pool rejection after `created` (fsync); retirement  | id                             |
+//! | `transition` | state changes (terminal ⇒ fsync)                    | id, state, optional error      |
+//! | `done`       | (re-)tune completion (fsync)                        | id, retune count, full outcome |
+//! | `feed`       | query feed, before the 200 (fsync)                  | id, the SQL batch              |
+//!
+//! A retirement ([`crate::session::RETAINED_SESSIONS`]) is logged batched:
+//! losing it to a crash brings a finished session back, which is harmless.
+//! Recovery restores only retained sessions, and refills the fleet cache
+//! from them alone.
 //!
 //! Logs written before the fleet cache was rebuilt from `done` records
 //! also hold `fleet` records; they no longer decode, so replay skips them
@@ -106,8 +111,9 @@ pub enum SessionRecord {
         /// The request, in [`TuneRequest::to_wal_json`] form.
         request: Value,
     },
-    /// Admission failed after `created` (pool queue full / shutting down);
-    /// the client saw an error, so the session must not be resurrected.
+    /// Admission failed after `created` (pool queue full / shutting down),
+    /// so the client saw an error, or the daemon retired the delivered
+    /// session: either way it must not be resurrected.
     Removed {
         /// Id of the withdrawn session.
         id: u64,
@@ -586,7 +592,7 @@ fn restore_session(handle: &SessionHandle, request: &TuneRequest, rs: &ReplaySes
             ReplayOp::Complete { retunes, outcome } => {
                 s.outcome = outcome.clone();
                 if *retunes == 0 {
-                    let workload = request.benchmark.load();
+                    let workload = crate::pool::shared_workload(request.benchmark);
                     let key = FleetKey::for_request(request, &workload);
                     FleetCache::global().insert(key, outcome.clone());
                     refilled = true;

@@ -907,6 +907,170 @@ fn restart_refills_the_fleet_cache_from_done_records() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every message leaves in one write on a `TCP_NODELAY` socket, so a
+/// reused keep-alive connection never waits out the peer's delayed ACK
+/// (about 44 ms a request while messages took several writes).
+#[test]
+fn keep_alive_requests_do_not_stall() {
+    let mut server = start(ServerConfig {
+        workers: 1,
+        keepalive_max: 64,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+    let mut conn = Connection::new(server.addr());
+    let began = Instant::now();
+    for i in 0..50 {
+        let (status, _, body) = conn
+            .call("GET", "/healthz", &[], None)
+            .unwrap_or_else(|e| panic!("call {i} failed: {e}"));
+        assert_eq!(status, 200, "{body}");
+    }
+    let elapsed = began.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 keep-alive requests took {elapsed:?}"
+    );
+    server.shutdown();
+}
+
+/// GETs `path` and returns the status alone.
+fn get_status(addr: SocketAddr, path: &str) -> u16 {
+    request(addr, "GET", path, None).expect("GET").0
+}
+
+/// The ids `GET /sessions` lists, ascending.
+fn listed_ids(addr: SocketAddr) -> Vec<i64> {
+    let (status, body) = request(addr, "GET", "/sessions", None).expect("list");
+    assert_eq!(status, 200, "{body}");
+    parse(&body)
+        .unwrap()
+        .get("sessions")
+        .and_then(Value::as_array)
+        .unwrap()
+        .iter()
+        .map(|row| row.get("id").and_then(Value::as_i64).unwrap())
+        .collect()
+}
+
+/// Submits `body`, waits until the session is done and returns its id.
+fn run_to_done(addr: SocketAddr, body: &str) -> i64 {
+    let (status, doc) = post_session(addr, body);
+    assert_eq!(status, 202, "{}", doc.to_string_pretty());
+    let id = doc.get("id").and_then(Value::as_i64).unwrap();
+    assert_eq!(wait_terminal(addr, id), "done");
+    id
+}
+
+/// A daemon retires delivered sessions past `RETAINED_SESSIONS`, least
+/// recently requested first: once `RETAINED_SESSIONS + 4` sessions were
+/// each fetched and one more is admitted, the four oldest answer 404, the
+/// log holds a `removed` record for each, and a restart on the same
+/// directory recovers exactly the sessions still held.
+#[test]
+fn delivered_sessions_past_the_cap_are_retired_for_good() {
+    use lt_serve::session::RETAINED_SESSIONS;
+    use lt_serve::wal::SessionRecord;
+    let dir = std::env::temp_dir().join(format!("lt_serve_retire_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServerConfig {
+        workers: 1,
+        wal_dir: Some(dir.display().to_string()),
+        ..ServerConfig::default()
+    };
+    // A seed no other test uses: after the first cold tune, every session
+    // is a fleet-cache hit.
+    let body = r#"{"seed": 9650, "num_configs": 2}"#;
+    let mut server = start(config.clone()).expect("bind loopback");
+    let addr = server.addr();
+    let fetched: Vec<i64> = (0..RETAINED_SESSIONS + 4)
+        .map(|_| {
+            let id = run_to_done(addr, body);
+            assert_eq!(get_status(addr, &format!("/sessions/{id}/config")), 200);
+            id
+        })
+        .collect();
+    let last = run_to_done(addr, body);
+    let (retired, retained) = fetched.split_at(4);
+    for id in retired {
+        assert_eq!(get_status(addr, &format!("/sessions/{id}")), 404, "{id}");
+        assert_eq!(get_status(addr, &format!("/sessions/{id}/config")), 404);
+    }
+    let mut held = retained.to_vec();
+    held.push(last);
+    assert_eq!(listed_ids(addr), held);
+    let (_, metrics) = request(addr, "GET", "/metrics", None).expect("metrics");
+    let done = parse(&metrics)
+        .ok()
+        .and_then(|d| d.get("sessions")?.get("done")?.as_i64());
+    assert_eq!(
+        done,
+        Some(held.len() as i64),
+        "the sessions block counts what is held"
+    );
+    server.shutdown();
+
+    let log = lt_common::wal::read_log(&dir.join("sessions.wal")).expect("read the log");
+    let removed: Vec<i64> = log
+        .records
+        .iter()
+        .filter_map(|payload| {
+            let doc = parse(std::str::from_utf8(payload).ok()?).ok()?;
+            match SessionRecord::from_json(&doc)? {
+                SessionRecord::Removed { id } => Some(id as i64),
+                _ => None,
+            }
+        })
+        .collect();
+    assert_eq!(removed, retired, "one removed record per retired session");
+
+    let mut server = start(config).expect("restart on the same WAL dir");
+    let addr = server.addr();
+    assert_eq!(
+        listed_ids(addr),
+        held,
+        "recovery restores the held sessions only"
+    );
+    assert_eq!(get_status(addr, &format!("/sessions/{}", retired[0])), 404);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Retirement only takes sessions whose result was delivered: a wave of 64
+/// sessions nobody has read stays whole through later admissions, and once
+/// read, the next admission keeps `RETAINED_SESSIONS` of them.
+#[test]
+fn a_wave_nobody_has_read_stays_readable() {
+    use lt_serve::session::RETAINED_SESSIONS;
+    let mut server = start_server(2, 128);
+    let addr = server.addr();
+    // A seed no other test uses (the fleet cache is process-global).
+    let body = r#"{"seed": 9660, "num_configs": 2}"#;
+    let wave: Vec<i64> = (0..64)
+        .map(|_| {
+            let (status, doc) = post_session(addr, body);
+            assert_eq!(status, 202, "{}", doc.to_string_pretty());
+            doc.get("id").and_then(Value::as_i64).unwrap()
+        })
+        .collect();
+    for &id in &wave {
+        assert_eq!(wait_terminal(addr, id), "done");
+    }
+    let unread = run_to_done(addr, body);
+    for &id in &wave {
+        assert_eq!(
+            get_status(addr, &format!("/sessions/{id}/config")),
+            200,
+            "{id}"
+        );
+    }
+    let next = run_to_done(addr, body);
+    let listed = listed_ids(addr);
+    assert_eq!(listed.len(), RETAINED_SESSIONS + 2, "{listed:?}");
+    assert!(listed.contains(&unread) && listed.contains(&next));
+    server.shutdown();
+}
+
 /// Zero-valued sizing flags are usage errors, not silently clamped to 1.
 #[test]
 fn zero_sizing_flags_exit_with_usage_status() {
