@@ -1133,7 +1133,7 @@ mod tests {
 
     #[test]
     fn undelivered_and_unfinished_sessions_are_never_retired() {
-        let registry = delivered_registry(0);
+        let registry = SessionRegistry::new();
         let req = TuneRequest::from_json(&parse("{}").unwrap()).unwrap();
         // Finished, but nobody fetched the result.
         for _ in 0..3 {
@@ -1146,8 +1146,7 @@ mod tests {
             s.state = SessionState::Retuning;
             s.delivered = true;
         }
-        // Delivered but still queued cannot happen through the routes;
-        // the state alone must keep it.
+        // Marked delivered before it finished: the state alone keeps it.
         let queued = registry.create(req);
         queued.lock().delivered = true;
         assert!(registry.retire_delivered(0).is_empty());
