@@ -26,7 +26,10 @@
 //! produces byte-identical events on any machine or thread count.
 
 use crate::profile::{Profile, QueryObservation};
-use lt_common::{json, json::Value, obs};
+use lt_common::{json, json::Value, obs, Secs};
+use lt_dbms::db::query_tag;
+use lt_dbms::TuningTarget;
+use lt_sql::ast::Query;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Tuning knobs for the drift detectors. The serving layer starts from
@@ -231,6 +234,30 @@ impl DriftMonitor {
     /// Current detector statistics.
     pub fn scores(&self) -> DriftScores {
         self.scores
+    }
+
+    /// Executes `query` on `db` and feeds the execution through
+    /// [`DriftMonitor::observe`]: the one observation step of every query
+    /// feed, a serving session's and the drift harness's alike. The plan
+    /// cache's window counters are drained per query, so the hit flag says
+    /// whether *this* plan came from the cache.
+    pub fn execute_and_observe(
+        &mut self,
+        db: &mut (impl TuningTarget + ?Sized),
+        query: &Query,
+    ) -> Option<DriftEvent> {
+        let outcome = db.execute(query, Secs::INFINITY);
+        let preds = db.predicates(query);
+        let window = db.take_cache_window();
+        let hit = window.plan_hits + window.plan_misses > 0 && window.plan_misses == 0;
+        let observation = QueryObservation::new(
+            db.catalog(),
+            &preds,
+            query_tag(query),
+            outcome.time,
+            Some(hit),
+        );
+        self.observe(&observation)
     }
 
     /// Feeds one executed query through every detector. Returns the alarm

@@ -6,11 +6,9 @@
 
 use crate::delta::{delta_prompt, LabeledProfile, WorkloadDelta};
 use crate::detect::{DriftConfig, DriftEvent, DriftMonitor};
-use crate::profile::QueryObservation;
 use crate::retune::{retune, RetuneOptions, TuneMemory};
 use lambda_tune::{LambdaTune, LambdaTuneOptions};
 use lt_common::{derive_seed, Result, Secs};
-use lt_dbms::db::query_tag;
 use lt_dbms::{Configuration, Dbms, Hardware, SimDb};
 use lt_llm::{LlmClient, SimulatedLlm};
 use lt_synth::{
@@ -55,20 +53,7 @@ fn play_stream(stream: PhasedStream, stream_seed: u64, config: &DriftConfig) -> 
                 &mut dbs.last_mut().expect("just pushed").1
             }
         };
-        let outcome = db.execute(&sq.parsed, Secs::INFINITY);
-        let preds = db.predicates(&sq.parsed);
-        // The windowed cache counters, drained per query, say whether
-        // *this* plan came from the cache.
-        let window = db.take_cache_window();
-        let hit = window.plan_hits + window.plan_misses > 0 && window.plan_misses == 0;
-        let observation = QueryObservation::new(
-            db.catalog(),
-            &preds,
-            query_tag(&sq.parsed),
-            outcome.time,
-            Some(hit),
-        );
-        if let Some(event) = monitor.observe(&observation) {
+        if let Some(event) = monitor.execute_and_observe(db, &sq.parsed) {
             events.push(event);
         }
     }

@@ -9,8 +9,7 @@
 //! ```
 //!
 //! Defaults: 127.0.0.1:7878 (the coordinator 127.0.0.1:7879), 2 workers,
-//! queue depth 64, 64 connections, no durability. `LT_SERVE_CONNS` sets
-//! the connection cap when `--conns` does not. With `--wal-dir` the
+//! queue depth 64, 64 connections, no durability. With `--wal-dir` the
 //! daemon keeps a write-ahead session log in `DIR/sessions.wal` and
 //! recovers acknowledged sessions from it on startup. `--shard-id` gives
 //! the daemon a shard identity: `/shard/*` control routes and a labelled
@@ -18,12 +17,12 @@
 //!
 //! With `--coordinator` the daemon instead fronts the listed shards:
 //! global admission (fleet-wide quotas answering 429 + `Retry-After`),
-//! consistent-hash routing of new sessions, per-session proxying, health
-//! probing and aggregated `/metrics`. Its backlog cap is `--queue` × the
-//! shard count; `LT_SHARD_VNODES` and `LT_SHARD_PROBE_MS` set the ring's
-//! virtual nodes per shard and the probe period. The connection cap
-//! applies in both modes. Stop either mode with `POST /shutdown` or
-//! Ctrl-C.
+//! session ids dealt to the shards in turn (in shard-id order, whatever
+//! the flag order; a shard id listed twice exits 1), per-session proxying
+//! to the shard an id names, health probing and aggregated `/metrics`.
+//! Its backlog cap is `--queue` × the shard count; `LT_SHARD_PROBE_MS`
+//! sets the probe period. The connection cap applies in both modes. Stop
+//! either mode with `POST /shutdown` or Ctrl-C.
 
 use lt_common::env;
 use lt_serve::{CoordinatorConfig, ServerConfig, ShardSpec};
@@ -61,7 +60,6 @@ fn run_coordinator(addr: Option<String>, shards: Vec<ShardSpec>, server: &Server
     }
     let mut config = CoordinatorConfig::new(shards, server);
     config.addr = addr.unwrap_or_else(|| "127.0.0.1:7879".to_string());
-    config.vnodes = env::get("LT_SHARD_VNODES", config.vnodes, |&n| n > 0);
     config.probe_ms = env::get("LT_SHARD_PROBE_MS", config.probe_ms, |&n| n > 0);
     let shard_count = config.shards.len();
     let mut coordinator = match lt_serve::start_coordinator(config.clone()) {
@@ -84,11 +82,7 @@ fn run_coordinator(addr: Option<String>, shards: Vec<ShardSpec>, server: &Server
 }
 
 fn main() {
-    let defaults = ServerConfig::default();
-    let mut config = ServerConfig {
-        max_connections: env::get("LT_SERVE_CONNS", defaults.max_connections, |&n| n > 0),
-        ..defaults
-    };
+    let mut config = ServerConfig::default();
     let mut coordinator = false;
     let mut addr: Option<String> = None;
     let mut shards: Vec<ShardSpec> = Vec::new();

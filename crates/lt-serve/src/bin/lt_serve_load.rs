@@ -133,7 +133,8 @@ fn shard_smoke(shards: usize) {
         num_configs: 2,
         ..LoadOptions::default()
     };
-    let mut fleet = Fleet::spawn(shards, 1, &[])
+    let conns = lt_serve::ServerConfig::default().max_connections;
+    let mut fleet = Fleet::spawn(shards, 1, conns, &[])
         .unwrap_or_else(|e| die(&format!("cannot spawn {shards}-shard fleet: {e}")));
     let run = run_against(fleet.coordinator_addr(), shards, &opts);
 
@@ -289,8 +290,9 @@ fn kill_one_shard_scenario(base_seed: u64) -> (Value, bool) {
         ("LT_LLM_LATENCY_MS".to_string(), "400".to_string()),
         ("LT_SHARD_PROBE_MS".to_string(), "100".to_string()),
     ];
+    let conns = lt_serve::ServerConfig::default().max_connections;
     let mut fleet =
-        Fleet::spawn(2, 1, &envs).unwrap_or_else(|e| die(&format!("scenario fleet: {e}")));
+        Fleet::spawn(2, 1, conns, &envs).unwrap_or_else(|e| die(&format!("scenario fleet: {e}")));
     let addr = fleet.coordinator_addr();
 
     // Acknowledge 8 slow sessions, then SIGKILL shard 1 with work queued
@@ -390,14 +392,10 @@ fn shard_bench(max_shards: usize, clients: usize) {
     let envs = vec![
         ("LT_LLM_LATENCY_MS".to_string(), latency_ms.to_string()),
         ("LT_SHARD_PROBE_MS".to_string(), "200".to_string()),
-        // More virtual nodes tighten each shard's key-space share; at the
-        // default 64 the ±12% share variance shows up directly as
-        // drain-time skew.
-        ("LT_SHARD_VNODES".to_string(), "256".to_string()),
-        // The coordinator caps its connections like a daemon does; size
-        // the cap to the client count so no client is turned away.
-        ("LT_SERVE_CONNS".to_string(), clients.max(64).to_string()),
     ];
+    // The coordinator caps its connections like a daemon does; size the
+    // cap to the client count so no client is turned away.
+    let conns = clients.max(64);
     let series: Vec<usize> = [1usize, 2, 4, 8, 16]
         .into_iter()
         .filter(|&n| n <= max_shards)
@@ -406,9 +404,9 @@ fn shard_bench(max_shards: usize, clients: usize) {
         clients,
         num_configs: 2,
         poll_timeout: Duration::from_secs(300),
-        // Closed loop: 4 sessions per client. The fabric places by
-        // hashing session ids, so a run with few sessions measures the
-        // multinomial spread of the ring, not shard throughput.
+        // Closed loop: 4 sessions per client, so each shard count drains
+        // a few waves of sessions and the run measures steady throughput
+        // rather than one wave's start-up and tail.
         sessions_per_client: 4,
         ..LoadOptions::default()
     };
@@ -420,7 +418,7 @@ fn shard_bench(max_shards: usize, clients: usize) {
 
     let mut runs: Vec<(usize, lt_serve::load::LoadRun)> = Vec::new();
     for &n in &series {
-        let mut fleet = Fleet::spawn(n, 1, &envs)
+        let mut fleet = Fleet::spawn(n, 1, conns, &envs)
             .unwrap_or_else(|e| die(&format!("cannot spawn {n}-shard fleet: {e}")));
         let run = run_against(fleet.coordinator_addr(), n, &opts);
         fleet.shutdown();

@@ -1,5 +1,5 @@
-//! The coordinator: global admission, consistent-hash session routing,
-//! shard health probing and fleet-wide `/metrics` aggregation.
+//! The coordinator: global admission, session routing by id, shard
+//! health probing and fleet-wide `/metrics` aggregation.
 //!
 //! A sharded fabric is one coordinator process fronting N shard processes
 //! (ordinary [`crate::server`] daemons with a shard id and their own WAL
@@ -7,10 +7,9 @@
 //!
 //! - **Coordinator** owns *global* admission — the fleet-wide per-tenant
 //!   quota and total-backlog bound answer 429 + `Retry-After` here, before
-//!   any shard sees the request — plus session-id allocation, placement
-//!   (the [`HashRing`] keys on the id), health probing and metrics
-//!   aggregation. It holds no tuning state: everything it tracks can be
-//!   rebuilt by asking the shards.
+//!   any shard sees the request — plus session-id allocation, health
+//!   probing and metrics aggregation. It holds no tuning state: everything
+//!   it tracks can be rebuilt by asking the shards.
 //! - **Shards** own the sessions: WAL durability, the worker pool,
 //!   tenant-fair scheduling, drift feeds. A shard answers exactly as a
 //!   standalone server does; `POST /shard/adopt` is the only
@@ -21,24 +20,28 @@
 //! generator and clients are topology-agnostic. Per-session calls proxy to
 //! the owning shard; long-polls are held open end to end.
 //!
-//! **Failure semantics.** A probe failure (or a refused proxy connect)
-//! marks the shard dead: *new* sessions route around it via
-//! [`HashRing::owner_filtered`], its existing sessions answer 503 +
-//! `Retry-After` until it returns, and `/metrics` reports the fleet as
-//! degraded. A restarted shard replays its namespaced WAL, re-queues its
-//! in-flight sessions itself (PR 7 recovery), and the next probe folds it
-//! back in — placements never move, so recovered ids resolve exactly
-//! where they were acknowledged. Acknowledged sessions are therefore never
-//! lost to a single-shard crash; they are only unavailable while their
-//! shard is down.
+//! **Placement.** A session id names its shard: ids are dealt to the
+//! shards in turn, so id `n` lives on entry `(n − 1) mod N` of the shard
+//! list sorted by shard id ([`CoordState::owner`]). The coordinator keeps
+//! no placement table; it computes the owner of every per-session call
+//! from the id.
 //!
-//! **Determinism.** The tune is pure in `(request, seed)`; the ring only
+//! **Failure semantics.** A probe failure (or a refused proxy connect)
+//! marks the shard dead: id allocation skips (and burns) the ids it would
+//! own, so *new* sessions land on live shards; its existing sessions
+//! answer 503 + `Retry-After` until it returns, and `/metrics` reports the
+//! fleet as degraded. A restarted shard replays its namespaced WAL,
+//! re-queues its in-flight sessions itself (WAL recovery), and the next
+//! probe folds it back in — an id's owner never changes, so recovered ids
+//! resolve exactly where they were acknowledged. Acknowledged sessions are
+//! therefore never lost to a single-shard crash; they are only unavailable
+//! while their shard is down.
+//!
+//! **Determinism.** The tune is pure in `(request, seed)`; the id only
 //! decides *where* it runs. Same session id + seed ⇒ byte-identical
-//! winner at any shard count or placement.
+//! winner at any shard count.
 
 use crate::http::{self, request_with, Connection, Limits, Request, Response, Role, Shutdown};
-use crate::ring::HashRing;
-use crate::ring::DEFAULT_VNODES;
 use crate::server::ServerConfig;
 use crate::session::SessionState;
 use lt_common::json::Value;
@@ -58,8 +61,9 @@ pub const DEFAULT_PROBE_MS: u64 = 500;
 /// One shard as the coordinator sees it.
 #[derive(Debug, Clone)]
 pub struct ShardSpec {
-    /// Stable shard identity — the ring hashes it, `/shard/healthz`
-    /// echoes it, metrics are labelled with it.
+    /// Stable shard identity — its rank among the fleet's ids decides
+    /// which session ids it owns, `/shard/healthz` echoes it, metrics are
+    /// labelled with it.
     pub id: u32,
     /// The shard server's bound address.
     pub addr: SocketAddr,
@@ -70,11 +74,9 @@ pub struct ShardSpec {
 pub struct CoordinatorConfig {
     /// Bind address; port 0 picks a free port.
     pub addr: String,
-    /// The shard fleet. Must be non-empty.
+    /// The shard fleet, in any order. Must be non-empty, without
+    /// duplicate shard ids.
     pub shards: Vec<ShardSpec>,
-    /// Virtual nodes per shard on the ring (`LT_SHARD_VNODES` in the
-    /// `lt-serve` binary, default 64).
-    pub vnodes: usize,
     /// Health-probe cadence in ms (`LT_SHARD_PROBE_MS` in the `lt-serve`
     /// binary, default 500).
     pub probe_ms: u64,
@@ -92,11 +94,10 @@ pub struct CoordinatorConfig {
 impl CoordinatorConfig {
     /// Configuration for fronting `shards`. The tenant cap, the backlog
     /// cap (`server.queue_depth` × shard count) and the connection limits
-    /// come from `server`; the ring and the probe start at their defaults.
+    /// come from `server`; the probe starts at its default.
     pub fn new(shards: Vec<ShardSpec>, server: &ServerConfig) -> CoordinatorConfig {
         CoordinatorConfig {
             addr: "127.0.0.1:0".to_string(),
-            vnodes: DEFAULT_VNODES,
             probe_ms: DEFAULT_PROBE_MS,
             tenant_cap: server.tenant_cap,
             max_active: server.queue_depth * shards.len().max(1),
@@ -106,21 +107,19 @@ impl CoordinatorConfig {
     }
 }
 
-struct CoordState {
-    ring: HashRing,
+pub(crate) struct CoordState {
+    /// The fleet sorted by shard id; [`CoordState::owner`] indexes it.
     shards: Vec<ShardSpec>,
     /// Liveness per `shards` index, maintained by the probe loop and by
     /// refused proxy connects.
     alive: Vec<AtomicBool>,
-    /// session id → index into `shards`. Placement is decided once at
-    /// admission and never moves (the session's WAL lives there); the
-    /// probe forgets it once the live owner no longer lists the session.
-    placements: Mutex<HashMap<u64, usize>>,
     /// tenant → ids believed non-terminal; the admission ledger. Updated
-    /// optimistically on submit, reconciled against shard `/sessions`
-    /// listings by the probe loop, and trimmed when proxied responses
-    /// show a terminal state.
+    /// on submit after the shard's 202, reconciled against shard
+    /// `/sessions` listings by the probe loop, and trimmed when proxied
+    /// responses show a terminal state.
     active: Mutex<HashMap<String, HashSet<u64>>>,
+    /// The next session id to consider; every id below it was handed out
+    /// or skipped. Ids start at 1.
     next_id: AtomicU64,
     /// Set by [`CoordinatorHandle::shutdown`] and `POST /shutdown`; also
     /// stops the probe loop.
@@ -131,8 +130,57 @@ struct CoordState {
 }
 
 impl CoordState {
-    fn shard_index(&self, id: u32) -> Option<usize> {
-        self.shards.iter().position(|s| s.id == id)
+    /// The state for fronting `config.shards`, sorted by shard id, every
+    /// shard alive. `InvalidInput` when the fleet is empty or names a
+    /// shard id twice.
+    fn new(config: CoordinatorConfig, shutdown: Arc<Shutdown>) -> io::Result<CoordState> {
+        let mut shards = config.shards;
+        if shards.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "coordinator needs at least one shard",
+            ));
+        }
+        shards.sort_by_key(|s| s.id);
+        if let Some(pair) = shards.windows(2).find(|pair| pair[0].id == pair[1].id) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("shard id {} is listed twice", pair[0].id),
+            ));
+        }
+        Ok(CoordState {
+            alive: shards.iter().map(|_| AtomicBool::new(true)).collect(),
+            shards,
+            active: Mutex::new(HashMap::new()),
+            next_id: AtomicU64::new(1),
+            shutdown,
+            tenant_cap: config.tenant_cap.max(1),
+            max_active: config.max_active.max(1),
+            probe_ms: config.probe_ms.max(10),
+        })
+    }
+
+    /// Index into `shards` of the shard owning session `id` (≥ 1): ids are
+    /// dealt to the shards in turn, so every shard owns every N-th id.
+    fn owner(&self, id: u64) -> usize {
+        ((id - 1) % self.shards.len() as u64) as usize
+    }
+
+    /// Hands out the next session id whose owner is alive, skipping the
+    /// ids of dead shards for good; `None` when no shard is alive, without
+    /// using up an id. One pass looks at most one id per shard, and a pass
+    /// repeats only when another allocation moved `next_id` first — so
+    /// concurrent submitters cannot each draw only a dead shard's ids.
+    pub(crate) fn allocate(&self) -> Option<u64> {
+        let mut chosen = None;
+        self.next_id
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |next| {
+                chosen = (next..next + self.shards.len() as u64)
+                    .find(|&id| self.is_alive(self.owner(id)));
+                chosen.map(|id| id + 1)
+            })
+            .ok()?;
+        chosen
     }
 
     fn is_alive(&self, index: usize) -> bool {
@@ -211,33 +259,12 @@ impl Drop for CoordinatorHandle {
 
 /// Binds the coordinator, starts the probe loop, returns immediately.
 pub fn start_coordinator(config: CoordinatorConfig) -> io::Result<CoordinatorHandle> {
-    if config.shards.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "coordinator needs at least one shard",
-        ));
-    }
     obs::enable_metrics();
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    let ids: Vec<u32> = config.shards.iter().map(|s| s.id).collect();
     let shutdown = Arc::new(Shutdown::new(addr));
-    let state = Arc::new(CoordState {
-        ring: HashRing::new(&ids, config.vnodes),
-        alive: config
-            .shards
-            .iter()
-            .map(|_| AtomicBool::new(true))
-            .collect(),
-        shards: config.shards,
-        placements: Mutex::new(HashMap::new()),
-        active: Mutex::new(HashMap::new()),
-        next_id: AtomicU64::new(1),
-        shutdown: shutdown.clone(),
-        tenant_cap: config.tenant_cap.max(1),
-        max_active: config.max_active.max(1),
-        probe_ms: config.probe_ms.max(10),
-    });
+    let limits = config.limits;
+    let state = Arc::new(CoordState::new(config, shutdown.clone())?);
 
     let probe_state = state.clone();
     let probe_thread = std::thread::Builder::new()
@@ -248,7 +275,7 @@ pub fn start_coordinator(config: CoordinatorConfig) -> io::Result<CoordinatorHan
     let accept_thread = http::serve(
         listener,
         Role::Coordinator,
-        config.limits,
+        limits,
         shutdown,
         move |request| route(request, &router_state),
     )?;
@@ -302,7 +329,7 @@ fn route(request: &Request, state: &CoordState) -> Response {
 }
 
 /// `POST /sessions` at the coordinator: global admission, id allocation,
-/// ring placement, then adoption on the owning shard.
+/// then adoption on the shard owning the id.
 fn submit_session(request: &Request, state: &CoordState) -> Response {
     if state.shutdown.is_requested() {
         return Response::error(503, "coordinator is shutting down");
@@ -339,33 +366,26 @@ fn submit_session(request: &Request, state: &CoordState) -> Response {
         }
     }
 
-    let id = state.next_id.fetch_add(1, Ordering::Relaxed);
-    let adopt_body = json!({
-        "id": id,
-        "tenant": tenant.clone(),
-        "request": doc,
-    })
-    .to_string_pretty();
-
-    // Place on the ring, skipping dead shards; a refused connect marks
-    // the owner dead and retries once on the next live owner — the same
-    // route-around the probe loop would apply a beat later.
+    // A refused connect marks the owner dead and retries once with a
+    // fresh id, which skips the dead shard — the same route-around the
+    // probe loop would apply a beat later. The refused id is never used.
     for _attempt in 0..2 {
-        let Some(owner) = state.ring.owner_filtered(id, |s| {
-            state.shard_index(s).is_some_and(|i| state.is_alive(i))
-        }) else {
+        let Some(id) = state.allocate() else {
             obs::counter("coord.no_shards", 1);
             return Response::error(503, "no live shards, retry later")
                 .with_header("Retry-After", state.retry_after());
         };
-        let index = state
-            .shard_index(owner)
-            .expect("ring members are configured");
+        let index = state.owner(id);
+        let adopt_body = json!({
+            "id": id,
+            "tenant": tenant.clone(),
+            "request": doc.clone(),
+        })
+        .to_string_pretty();
         let mut conn = Connection::new(state.shards[index].addr);
         match conn.call_classified("POST", "/shard/adopt", &[], Some(&adopt_body)) {
             Ok((status, _, resp_body)) => {
                 if status == 202 {
-                    lock(&state.placements).insert(id, index);
                     lock(&state.active).entry(tenant).or_default().insert(id);
                     obs::counter("coord.sessions_routed", 1);
                 } else {
@@ -383,7 +403,8 @@ fn submit_session(request: &Request, state: &CoordState) -> Response {
                 return Response::error(
                     502,
                     &format!(
-                        "shard {owner} failed adopting session: {}",
+                        "shard {} failed adopting session: {}",
+                        state.shards[index].id,
                         err.into_inner()
                     ),
                 );
@@ -396,14 +417,16 @@ fn submit_session(request: &Request, state: &CoordState) -> Response {
 
 /// Proxies a per-session call (`GET`/`DELETE /sessions/<id>`, feeds,
 /// config — query string included, so long-polls pass through) to the
-/// shard owning the session.
+/// shard owning the id. An id never handed out answers 404 here; any
+/// other id the owner does not hold gets the owner's own 404.
 fn proxy_session_call(request: &Request, state: &CoordState, id: &str) -> Response {
     let Ok(session_id) = id.parse::<u64>() else {
         return Response::error(400, "session id must be an integer");
     };
-    let Some(index) = lock(&state.placements).get(&session_id).copied() else {
+    if session_id == 0 || session_id >= state.next_id.load(Ordering::Relaxed) {
         return Response::error(404, &format!("no session {session_id}"));
-    };
+    }
+    let index = state.owner(session_id);
     let shard_down = || {
         Response::error(
             503,
@@ -485,20 +508,18 @@ fn live_listings(state: &CoordState) -> Vec<(usize, Vec<(u64, Value)>)> {
 }
 
 /// `GET /sessions`: the union of every live shard's session list,
-/// id-ascending; dead shards' sessions are listed from the placement map
-/// with state `"unavailable"`.
+/// id-ascending; a dead shard's sessions still in the admission ledger
+/// (admitted, not seen terminal) are listed with state `"unavailable"`.
 fn list_sessions(state: &CoordState) -> Response {
     let mut rows: Vec<(u64, Value)> = live_listings(state)
         .into_iter()
         .flat_map(|(_, rows)| rows)
         .collect();
-    let placements = lock(&state.placements);
-    for (&id, &index) in placements.iter() {
-        if !state.is_alive(index) {
+    for &id in lock(&state.active).values().flatten() {
+        if !state.is_alive(state.owner(id)) {
             rows.push((id, json!({ "id": id, "state": "unavailable" })));
         }
     }
-    drop(placements);
     rows.sort_by_key(|(id, _)| *id);
     rows.dedup_by_key(|(id, _)| *id);
     let sessions: Vec<Value> = rows.into_iter().map(|(_, v)| v).collect();
@@ -574,22 +595,18 @@ fn probe(state: &CoordState) {
     reconcile_active(state);
 }
 
-/// Exact reconciliation against every live shard's `(id, state)` list:
-/// ids that went terminal without a client ever polling them leave the
-/// admission ledger, and ids the live owner no longer lists (a shard
-/// retires delivered sessions) leave the ledger and the placements. Ids
-/// on dead shards stay — their sessions still exist and will resume on
-/// recovery.
+/// Exact reconciliation of the admission ledger against every live
+/// shard's `(id, state)` list: ids that went terminal without a client
+/// ever polling them leave it, and so do ids their live owner no longer
+/// lists (a shard retires delivered sessions). Ids on dead shards stay —
+/// their sessions still exist and will resume on recovery.
 ///
-/// Only placements taken before the listings were requested count as
-/// gone: a placement is recorded after the shard's 202 to
-/// `/shard/adopt`, so the shard had registered each of them before it
-/// listed, and a session admitted during the probe is never dropped.
+/// Only ids in the ledger before the listings were requested count as
+/// gone: an id enters the ledger after the shard's 202 to `/shard/adopt`,
+/// so the shard had registered each of them before it listed, and a
+/// session admitted during the probe is never dropped.
 fn reconcile_active(state: &CoordState) {
-    let placed: Vec<(u64, usize)> = lock(&state.placements)
-        .iter()
-        .map(|(&id, &index)| (id, index))
-        .collect();
+    let admitted: Vec<u64> = lock(&state.active).values().flatten().copied().collect();
     let mut terminal = HashSet::new();
     let mut listed: HashMap<usize, HashSet<u64>> = HashMap::new();
     for (index, rows) in live_listings(state) {
@@ -601,20 +618,52 @@ fn reconcile_active(state: &CoordState) {
             ids.insert(id);
         }
     }
-    let gone: HashSet<u64> = placed
+    let gone: HashSet<u64> = admitted
         .into_iter()
-        .filter(|(id, index)| listed.get(index).is_some_and(|ids| !ids.contains(id)))
-        .map(|(id, _)| id)
+        .filter(|id| {
+            listed
+                .get(&state.owner(*id))
+                .is_some_and(|ids| !ids.contains(id))
+        })
         .collect();
     if terminal.is_empty() && gone.is_empty() {
         return;
     }
-    lock(&state.placements).retain(|id, _| !gone.contains(id));
     let mut active = lock(&state.active);
     for ids in active.values_mut() {
         ids.retain(|id| !terminal.contains(id) && !gone.contains(id));
     }
     active.retain(|_, ids| !ids.is_empty());
+}
+
+#[cfg(test)]
+/// Placement handles for the placement tests at the crate root (`ring`),
+/// which name shards by id where the coordinator works by index.
+impl CoordState {
+    /// A state over shards with these ids, none reachable; nothing is
+    /// bound and no probe runs.
+    pub(crate) fn unreachable(ids: &[u32]) -> CoordState {
+        let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
+        let shards = ids.iter().map(|&id| ShardSpec { id, addr }).collect();
+        let config = CoordinatorConfig::new(shards, &ServerConfig::default());
+        CoordState::new(config, Arc::new(Shutdown::new(addr))).unwrap()
+    }
+
+    /// The id of the shard owning session `id`.
+    pub(crate) fn owner_id(&self, id: u64) -> u32 {
+        self.shards[self.owner(id)].id
+    }
+
+    /// Marks the shard with id `shard` alive or dead, as a probe would.
+    pub(crate) fn set_alive(&self, shard: u32, alive: bool) {
+        let index = self.shards.iter().position(|s| s.id == shard).unwrap();
+        self.alive[index].store(alive, Ordering::SeqCst);
+    }
+
+    /// The next session id [`CoordState::allocate`] will consider.
+    pub(crate) fn next_id(&self) -> u64 {
+        self.next_id.load(Ordering::Relaxed)
+    }
 }
 
 #[cfg(test)]
@@ -752,7 +801,7 @@ mod tests {
         let mut placed: Vec<Vec<u64>> = vec![Vec::new(); 2];
         while placed.iter().all(|ids| ids.len() < RETAINED_SESSIONS + 2) {
             let id = submit(coord.addr(), 9440);
-            let owner = lock(&state.placements)[&id];
+            let owner = state.owner(id);
             let addr = shards[owner].addr();
             wait_done(addr, id);
             let (status, body) = get(addr, &format!("/sessions/{id}/config")).unwrap();
@@ -773,7 +822,6 @@ mod tests {
         shards.remove(other).shutdown();
 
         let in_active = |id: u64| lock(&state.active).values().any(|ids| ids.contains(&id));
-        assert!(lock(&state.placements).contains_key(&retired));
         // The ledger as it stands when a shard retires a session between
         // two probes, before the coordinator ever saw it terminal (the
         // start-up probe may have seen these two done).
@@ -783,18 +831,73 @@ mod tests {
             .extend([retired, dead]);
         probe(state);
         assert!(!state.is_alive(other));
-        let placements = lock(&state.placements);
-        assert!(
-            !placements.contains_key(&retired),
-            "retired session forgotten"
-        );
-        assert!(placements.contains_key(&kept), "listed session kept");
-        assert!(placements.contains_key(&dead), "dead shard's session kept");
-        drop(placements);
-        assert!(!in_active(retired));
+        assert!(!in_active(retired), "retired session forgotten");
         assert!(in_active(dead), "a dead shard's session still counts");
-        let (status, _) = get(coord.addr(), &format!("/sessions/{retired}")).unwrap();
+        // Through the coordinator: the retired id gets its shard's own 404,
+        // the kept one its status, and the dead shard's one a 503.
+        let via_coord = |id: u64| get(coord.addr(), &format!("/sessions/{id}")).unwrap();
+        let (status, body) = via_coord(retired);
         assert_eq!(status, 404);
+        assert!(body.contains(&format!("no session {retired}")), "{body}");
+        assert_eq!(via_coord(kept).0, 200);
+        assert_eq!(via_coord(dead).0, 503);
+        let (_, body) = get(coord.addr(), "/sessions").unwrap();
+        let listing = lt_common::json::parse(&body).unwrap();
+        let row = |id: u64| {
+            listing
+                .get("sessions")
+                .and_then(Value::as_array)
+                .unwrap()
+                .iter()
+                .find(|row| row.get("id").and_then(Value::as_i64) == Some(id as i64))
+                .and_then(|row| row.get("state").and_then(Value::as_str))
+                .map(str::to_string)
+        };
+        assert_eq!(row(dead).as_deref(), Some("unavailable"));
+        assert_eq!(row(kept).as_deref(), Some("done"));
+        assert_eq!(row(retired), None);
+    }
+
+    #[test]
+    fn duplicate_or_missing_shard_ids_are_rejected() {
+        let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
+        for ids in [vec![3, 1, 3], vec![]] {
+            let shards = ids.into_iter().map(|id| ShardSpec { id, addr }).collect();
+            let config = CoordinatorConfig::new(shards, &ServerConfig::default());
+            let err = start_coordinator(config).err().expect("rejected");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        }
+    }
+
+    #[test]
+    fn ids_never_handed_out_are_404_even_when_their_owner_is_dead() {
+        let live = start(shard_config(0)).unwrap();
+        let specs = vec![
+            ShardSpec {
+                id: 0,
+                addr: live.addr(),
+            },
+            // Nothing listens here: the probe only ever finds it dead.
+            ShardSpec {
+                id: 1,
+                addr: "127.0.0.1:1".parse().unwrap(),
+            },
+        ];
+        let mut config = CoordinatorConfig::new(specs, &ServerConfig::default());
+        config.probe_ms = 60_000;
+        let coord = start_coordinator(config).unwrap();
+        coord.state.mark_dead(1);
+        let status = |id: u64| {
+            crate::http::request(coord.addr(), "GET", &format!("/sessions/{id}"), None)
+                .unwrap()
+                .0
+        };
+        assert_eq!(status(0), 404);
+        assert_eq!(status(2), 404, "shard 1's first id, not handed out yet");
+        assert_eq!(submit(coord.addr(), 9450), 1);
+        assert_eq!(submit(coord.addr(), 9450), 3, "shard 1's id 2 is skipped");
+        assert_eq!(status(2), 503, "a skipped id waits for its owner");
+        assert_eq!(status(4), 404);
     }
 
     #[test]
@@ -819,7 +922,6 @@ mod tests {
         );
         assert_eq!(config.tenant_cap, 7);
         assert_eq!(config.limits.max_connections, 9);
-        assert_eq!(config.vnodes, DEFAULT_VNODES);
         assert_eq!(config.probe_ms, DEFAULT_PROBE_MS);
     }
 

@@ -19,7 +19,8 @@ use std::time::{Duration, Instant};
 
 /// One shard child process.
 pub struct ShardProc {
-    /// Stable shard id (ring identity; survives restarts).
+    /// Stable shard id (decides which session ids it owns; survives
+    /// restarts).
     pub id: u32,
     /// Bound address. Restarts rebind the same address so the
     /// coordinator's static shard table stays valid.
@@ -42,6 +43,7 @@ pub struct Fleet {
     bin: PathBuf,
     root: PathBuf,
     workers: usize,
+    conns: usize,
     envs: Vec<(String, String)>,
     /// The shard children, index-stable (killed shards keep their slot).
     pub shards: Vec<ShardProc>,
@@ -119,10 +121,16 @@ pub fn spawn_announced(mut cmd: Command) -> io::Result<(Child, SocketAddr)> {
 
 impl Fleet {
     /// Spawns `n` shard daemons (each with `workers` pool workers and its
-    /// own WAL dir) and a coordinator fronting them. `envs` is applied to
-    /// every child — the place for `LT_LLM_LATENCY_MS`, `LT_SHARD_VNODES`
-    /// and friends. Blocks until the coordinator answers `/healthz`.
-    pub fn spawn(n: usize, workers: usize, envs: &[(String, String)]) -> io::Result<Fleet> {
+    /// own WAL dir) and a coordinator fronting them, every child started
+    /// with `--conns conns`. `envs` is applied to every child — the place
+    /// for `LT_LLM_LATENCY_MS` and `LT_SHARD_PROBE_MS`. Blocks until the
+    /// coordinator answers `/healthz`.
+    pub fn spawn(
+        n: usize,
+        workers: usize,
+        conns: usize,
+        envs: &[(String, String)],
+    ) -> io::Result<Fleet> {
         let bin = server_binary()?;
         let root = scratch_root();
         std::fs::create_dir_all(&root)?;
@@ -130,6 +138,7 @@ impl Fleet {
             bin,
             root,
             workers,
+            conns,
             envs: envs.to_vec(),
             shards: Vec::new(),
             coordinator: None,
@@ -148,6 +157,7 @@ impl Fleet {
 
         let mut cmd = Command::new(&fleet.bin);
         cmd.args(["--coordinator", "--addr", "127.0.0.1:0"]);
+        cmd.args(["--conns", &conns.to_string()]);
         for shard in &fleet.shards {
             cmd.args(["--shard", &format!("{}={}", shard.id, shard.addr)]);
         }
@@ -165,6 +175,7 @@ impl Fleet {
         let mut cmd = Command::new(&self.bin);
         let bind = addr.map_or_else(|| "127.0.0.1:0".to_string(), |a| a.to_string());
         cmd.args(["--addr", &bind, "--workers", &self.workers.to_string()]);
+        cmd.args(["--conns", &self.conns.to_string()]);
         cmd.args(["--wal-dir".as_ref(), wal_dir.as_os_str()]);
         cmd.args(["--shard-id", &id.to_string()]);
         for (k, v) in &self.envs {

@@ -15,12 +15,15 @@
 //! ([`Response::write_connection`]) and a client request alike — and every
 //! accepted and client socket sets `TCP_NODELAY`. With the head and body in
 //! separate writes, Nagle's algorithm held the later ones until the peer's
-//! delayed ACK, about 40 ms on every reused keep-alive connection.
+//! delayed ACK, about 40 ms on every reused keep-alive connection. Every
+//! message is read through a buffer held for the whole connection, so a
+//! head costs a `read` per buffer fill rather than one per byte, and bytes
+//! of a pipelined next message wait in the buffer for the next read.
 
 use lt_common::json::Value;
 use lt_common::obs;
 use std::fmt::Write as _;
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -106,34 +109,34 @@ fn malformed(what: impl Into<String>) -> io::Error {
 }
 
 /// Reads one message head — start line plus headers — up to the blank line
-/// that ends it, a byte at a time so nothing past it is consumed. Bounded
-/// by [`MAX_HEAD_BYTES`]; bare-LF line ends are tolerated (curl never sends
-/// them, netcat may). `what` ("request"/"response") names the side in
-/// errors. Returns the start line and the headers, names lower-cased; a
-/// header line without `:` is an error.
-fn read_head(stream: &mut impl Read, what: &str) -> io::Result<(String, Vec<(String, String)>)> {
+/// that ends it, a line at a time out of the buffer, so whatever follows
+/// the head stays buffered. Bounded by [`MAX_HEAD_BYTES`]; bare-LF line
+/// ends are tolerated (curl never sends them, netcat may). `what`
+/// ("request"/"response") names the side in errors. Returns the start line
+/// and the headers, names lower-cased; a header line without `:` is an
+/// error.
+fn read_head(stream: &mut impl BufRead, what: &str) -> io::Result<(String, Vec<(String, String)>)> {
     let mut head = Vec::new();
-    let mut byte = [0u8; 1];
     let head_end = loop {
-        if head.len() >= MAX_HEAD_BYTES {
-            return Err(malformed(format!("{what} head too large")));
-        }
-        match stream.read(&mut byte)? {
-            // `UnexpectedEof`, not `InvalidData`: the client's reconnect
-            // logic tells a dead keep-alive socket from a protocol error.
-            0 => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-head",
-                ))
-            }
-            _ => head.push(byte[0]),
-        }
+        let room = (MAX_HEAD_BYTES - head.len()) as u64;
+        let read = stream.by_ref().take(room).read_until(b'\n', &mut head)?;
         if head.ends_with(b"\r\n\r\n") {
             break head.len() - 4;
         }
         if head.ends_with(b"\n\n") {
             break head.len() - 2;
+        }
+        if head.len() >= MAX_HEAD_BYTES {
+            return Err(malformed(format!("{what} head too large")));
+        }
+        // A line cut short below the bound means the stream ended.
+        // `UnexpectedEof`, not `InvalidData`: the client's reconnect logic
+        // tells a dead keep-alive socket from a protocol error.
+        if read == 0 || !head.ends_with(b"\n") {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed mid-head",
+            ));
         }
     };
     let text = std::str::from_utf8(&head[..head_end])
@@ -182,7 +185,7 @@ fn read_body(
 /// Reads one request from `stream`. `Err` means the peer sent something
 /// that is not HTTP (or exceeded the size bounds); the connection should
 /// be answered with 400 and closed.
-pub fn read_request(stream: &mut impl Read) -> io::Result<Request> {
+pub fn read_request(stream: &mut impl BufRead) -> io::Result<Request> {
     let (request_line, headers) = read_head(stream, "request")?;
     let mut parts = request_line.split_whitespace();
     let method = parts
@@ -447,9 +450,10 @@ where
 }
 
 /// The keep-alive request loop of one admitted connection; `reused`
-/// counts every request after the first.
+/// counts every request after the first. Requests are read through one
+/// buffer for the whole connection; responses go straight to the socket.
 fn serve_connection(
-    mut stream: TcpStream,
+    stream: TcpStream,
     limits: Limits,
     reused: &'static str,
     router: &impl Fn(&Request) -> Response,
@@ -457,13 +461,14 @@ fn serve_connection(
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(limits.idle_timeout_ms)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
+    let mut reader = BufReader::new(&stream);
     for served in 0..limits.keepalive_max {
-        let request = match read_request(&mut stream) {
+        let request = match read_request(&mut reader) {
             Ok(request) => request,
             Err(err) => {
                 if served == 0 {
                     let _ = Response::error(400, &format!("malformed request: {err}"))
-                        .write_to(&mut stream);
+                        .write_to(&mut &stream);
                 }
                 return;
             }
@@ -473,7 +478,7 @@ fn serve_connection(
         }
         let keep = request.wants_keep_alive() && served + 1 < limits.keepalive_max;
         let response = router(&request);
-        if response.write_connection(&mut stream, keep).is_err() || !keep {
+        if response.write_connection(&mut &stream, keep).is_err() || !keep {
             return;
         }
     }
@@ -505,9 +510,9 @@ pub fn request_with(
     headers: &[(&str, &str)],
     body: Option<&str>,
 ) -> io::Result<RawResponse> {
-    let mut stream = connect(addr)?;
-    write_request(&mut stream, addr, method, path, headers, body, false)?;
-    read_response(&mut stream)
+    let stream = connect(addr)?;
+    write_request(&mut &stream, addr, method, path, headers, body, false)?;
+    read_response(&mut BufReader::new(&stream))
 }
 
 /// Opens a client connection with the client timeouts and `TCP_NODELAY`.
@@ -553,7 +558,7 @@ const MAX_RESPONSE_BYTES: usize = 8 * 1024 * 1024;
 /// Reads one `Content-Length`-delimited response — the framing that makes
 /// connection reuse possible (an EOF-delimited read would wait out the
 /// server's idle timeout on every call).
-fn read_response(stream: &mut impl Read) -> io::Result<RawResponse> {
+fn read_response(stream: &mut impl BufRead) -> io::Result<RawResponse> {
     let (status_line, headers) = read_head(stream, "response")?;
     let status = status_line
         .split_whitespace()
@@ -626,7 +631,8 @@ fn is_refused_connect(err: &io::Error) -> bool {
 #[derive(Debug)]
 pub struct Connection {
     addr: SocketAddr,
-    stream: Option<TcpStream>,
+    /// The open socket, read through a buffer that lives as long as it.
+    stream: Option<BufReader<TcpStream>>,
 }
 
 impl Connection {
@@ -635,9 +641,9 @@ impl Connection {
         Connection { addr, stream: None }
     }
 
-    fn stream(&mut self) -> io::Result<&mut TcpStream> {
+    fn stream(&mut self) -> io::Result<&mut BufReader<TcpStream>> {
         if self.stream.is_none() {
-            self.stream = Some(connect(self.addr)?);
+            self.stream = Some(BufReader::new(connect(self.addr)?));
         }
         Ok(self.stream.as_mut().expect("stream just connected"))
     }
@@ -704,7 +710,7 @@ impl Connection {
         let addr = self.addr;
         let result = (|| {
             let stream = self.stream()?;
-            write_request(stream, addr, method, path, headers, body, true)?;
+            write_request(stream.get_mut(), addr, method, path, headers, body, true)?;
             read_response(stream)
         })();
         match result {
@@ -911,6 +917,47 @@ mod tests {
         assert_eq!(req.tenant(), "acme");
         assert_eq!(req.body_str(), Some("{}"));
         assert!(req.wants_keep_alive());
+    }
+
+    /// Hands out as many of its bytes as fit in each `read`, counting the
+    /// calls.
+    struct CountingReader {
+        bytes: Vec<u8>,
+        at: usize,
+        reads: usize,
+    }
+
+    impl Read for CountingReader {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let n = buf.len().min(self.bytes.len() - self.at);
+            buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_head_is_read_per_buffer_fill_not_per_byte() {
+        let body = "{\"seed\": 7}";
+        let start = format!(
+            "POST /sessions HTTP/1.1\r\nHost: 127.0.0.1:7878\r\nContent-Length: {}\r\n",
+            body.len()
+        );
+        // Pad the head to exactly 100 bytes with one more header.
+        let pad = 100 - start.len() - "X-Pad: \r\n\r\n".len();
+        let head = format!("{start}X-Pad: {}\r\n\r\n", "p".repeat(pad));
+        assert_eq!(head.len(), 100);
+        let mut source = CountingReader {
+            bytes: format!("{head}{body}").into_bytes(),
+            at: 0,
+            reads: 0,
+        };
+        let request = read_request(&mut BufReader::new(&mut source)).unwrap();
+        assert_eq!(request.path, "/sessions");
+        assert_eq!(request.header("x-pad").map(str::len), Some(pad));
+        assert_eq!(request.body_str(), Some(body));
+        assert!(source.reads <= 2, "{} reads", source.reads);
     }
 
     #[test]

@@ -31,9 +31,8 @@ pub struct LoadOptions {
     /// Give-up bound per session.
     pub poll_timeout: Duration,
     /// Sessions each client runs back to back (closed loop). More
-    /// sessions per run tightens the placement spread a sharded fabric
-    /// sees — with few keys, consistent hashing's multinomial variance
-    /// dominates the drain time.
+    /// sessions per run means more waves for a fabric to drain, so
+    /// start-up and the last wave's tail weigh less in the throughput.
     pub sessions_per_client: usize,
 }
 
@@ -363,7 +362,9 @@ mod tests {
             ("LT_LLM_LATENCY_MS".to_string(), "300".to_string()),
             ("LT_SHARD_PROBE_MS".to_string(), "100".to_string()),
         ];
-        let mut fleet = crate::fleet::Fleet::spawn(2, 1, &envs).expect("spawn 2-shard fleet");
+        let conns = crate::ServerConfig::default().max_connections;
+        let mut fleet =
+            crate::fleet::Fleet::spawn(2, 1, conns, &envs).expect("spawn 2-shard fleet");
         let addr = fleet.coordinator_addr();
         let opts = LoadOptions {
             clients: 4,

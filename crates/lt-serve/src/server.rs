@@ -30,7 +30,7 @@
 //!
 //! The `/shard/*` surface is what the coordinator ([`crate::coord`])
 //! drives: `adopt` is `POST /sessions` with the session id chosen by the
-//! caller (the consistent-hash ring keys on it), and `/shard/healthz` is
+//! caller (the id names the shard that owns it), and `/shard/healthz` is
 //! the health-probe target that also reports queue pressure.
 //!
 //! Connections go through the shared front end ([`crate::http::serve`]):
@@ -53,7 +53,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Server configuration. The `lt-serve` binary builds it once from the
-/// defaults, `LT_SERVE_CONNS` and its flags; tests set fields directly.
+/// defaults and its flags; tests set fields directly.
 /// The coordinator derives its tenant cap, backlog cap and connection
 /// limits from it ([`crate::CoordinatorConfig::new`]).
 #[derive(Debug, Clone)]
@@ -65,11 +65,10 @@ pub struct ServerConfig {
     /// Job queue bound; a full queue answers 429 (`--queue`, default 64).
     pub queue_depth: usize,
     /// Concurrent connection-thread bound; connections above it answer 503
-    /// without spawning a thread (`--conns` or `LT_SERVE_CONNS`, default
-    /// 64). This caps HTTP-layer threads the way `queue_depth` caps tuning
-    /// jobs — a burst of idle connections cannot exhaust threads while it
-    /// holds. This and the two keep-alive limits below bound the
-    /// coordinator too.
+    /// without spawning a thread (`--conns`, default 64). This caps
+    /// HTTP-layer threads the way `queue_depth` caps tuning jobs — a burst
+    /// of idle connections cannot exhaust threads while it holds. This and
+    /// the two keep-alive limits below bound the coordinator too.
     pub max_connections: usize,
     /// Per-tenant cap on non-terminal sessions (default 64). Tenancy is
     /// the `X-Tenant` request header (`"default"` when absent); a tenant at
@@ -361,8 +360,8 @@ fn shard_healthz(state: &ServerState) -> Response {
 /// The `POST /shard/adopt` handler: coordinator-placed session admission.
 ///
 /// Identical to `POST /sessions` except the session id and tenant come
-/// from the body — the coordinator allocates ids fleet-wide and the ring
-/// keys on them, so the shard must register the session under exactly
+/// from the body — the coordinator allocates ids fleet-wide and each id
+/// names its shard, so the shard must register the session under exactly
 /// that id. Global (fleet) quota was already enforced by the coordinator;
 /// the shard still refuses duplicates and a full queue.
 fn adopt_session(request: &Request, state: &ServerState) -> Response {

@@ -496,20 +496,7 @@ impl ServingState {
     pub fn observe_queries(&mut self, workload: &Workload) -> Vec<DriftEvent> {
         let mut events = Vec::new();
         for q in &workload.queries {
-            let outcome = self.db.execute(&q.parsed, lt_common::Secs::INFINITY);
-            let preds = self.db.predicates(&q.parsed);
-            // The windowed cache counters, drained per query, say whether
-            // *this* plan came from the cache.
-            let window = self.db.take_cache_window();
-            let hit = window.plan_hits + window.plan_misses > 0 && window.plan_misses == 0;
-            let observation = lt_drift::QueryObservation::new(
-                self.db.catalog(),
-                &preds,
-                lt_dbms::db::query_tag(&q.parsed),
-                outcome.time,
-                Some(hit),
-            );
-            if let Some(event) = self.monitor.observe(&observation) {
+            if let Some(event) = self.monitor.execute_and_observe(&mut *self.db, &q.parsed) {
                 events.push(event);
             }
             self.push_recent(q.label.clone(), q.sql.clone());
