@@ -14,10 +14,14 @@
 #                every deterministic results file whole, byte for byte:
 #                  pass 1  LT_TRACE=1, 1 thread, 1 shard; then trace_check
 #                          on every trace sidecar it wrote
-#                  pass 2  untraced, 4 threads, 2 shards
+#                  pass 2  untraced, 4 threads, 2 shards; also the full
+#                          store_bench
 #                so tracing, thread count and shard count may never
-#                change a result. Every driver also exits non-zero when
-#                one of its bounds fails (README.md "CI" lists them).
+#                change a result. Then the committed deterministic
+#                results the gate regenerates (BENCH_drift.json,
+#                BENCH_store.json) must match their committed bytes
+#                (git diff --exit-code). Every driver also exits non-zero
+#                when one of its bounds fails (README.md "CI" lists them).
 #
 # Per-gate wall seconds are printed at the end and written to
 # results/ci_timing.txt (the workflow uploads it as an artifact).
@@ -56,6 +60,9 @@ BENCH_synth.smoke.json"
 # spans are roots of their own until spans carry their parent across threads.
 TRACES="fig6 table4 fig4 BENCH_drift BENCH_store BENCH_synth"
 
+# Committed results the passes rewrite; each must keep its committed bytes.
+COMMITTED_FILES="results/BENCH_drift.json results/BENCH_store.json"
+
 # determinism_pass THREADS SHARDS: every bench driver, once.
 determinism_pass() {
     local -x LT_BENCH_THREADS="$1"
@@ -82,6 +89,7 @@ gate_determinism() {
     done
     for f in $DETERMINISM_FILES; do cp "results/$f" results/.ci-pass1/; done
     LT_TRACE=0 determinism_pass 4 2
+    LT_TRACE=0 LT_BENCH_THREADS=4 ./target/release/store_bench > /dev/null
     for f in $DETERMINISM_FILES; do
         if ! cmp -s "results/.ci-pass1/$f" "results/$f"; then
             echo "DETERMINISM FAILURE: results/$f differs between the passes" >&2
@@ -91,6 +99,11 @@ gate_determinism() {
         echo "results/$f identical across passes"
     done
     rm -rf results/.ci-pass1
+    if ! git diff --exit-code -- $COMMITTED_FILES; then
+        echo "DETERMINISM FAILURE: a committed result changed; commit it if intended" >&2
+        exit 1
+    fi
+    echo "$COMMITTED_FILES identical to the committed files"
 }
 
 ALL_GATES="build fmt clippy test determinism"

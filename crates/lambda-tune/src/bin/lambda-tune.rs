@@ -22,48 +22,11 @@
 //! * `--seed <n>` (default 42)
 
 use lambda_tune::{LambdaTune, LambdaTuneOptions};
-use lt_dbms::{Catalog, Dbms, Hardware, SimDb, TuningTarget};
+use lt_dbms::{Dbms, Hardware};
 use lt_llm::{LlmClient, SimulatedLlm};
-use lt_store::StoreDb;
+use lt_store::Backend;
 use lt_workloads::Benchmark;
 use std::process::ExitCode;
-
-/// Which engine executes the workload during tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    /// Virtual-time simulator (`SimDb`).
-    Sim,
-    /// lt-store physical storage engine (`StoreDb`).
-    Store,
-}
-
-impl Backend {
-    fn parse(s: &str) -> Result<Backend, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "sim" | "simulator" => Ok(Backend::Sim),
-            "store" | "lt-store" => Ok(Backend::Store),
-            other => Err(format!("unknown backend {other} (sim|store)")),
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Backend::Sim => "sim",
-            Backend::Store => "store",
-        }
-    }
-
-    /// Builds the tuning target. Both backends plan with the same optimizer
-    /// and statistics seed, so prompts and plan trees are identical; they
-    /// differ in how plan *execution* is costed (modelled vs measured).
-    fn open(self, dbms: Dbms, catalog: Catalog, seed: u64) -> Box<dyn TuningTarget> {
-        let hw = Hardware::p3_2xlarge();
-        match self {
-            Backend::Sim => Box::new(SimDb::new(dbms, catalog, hw, seed)),
-            Backend::Store => Box::new(StoreDb::new(dbms, catalog, hw, seed)),
-        }
-    }
-}
 
 struct Args {
     benchmark: Benchmark,
@@ -124,7 +87,9 @@ fn parse_args() -> Result<Args, String> {
                 };
             }
             "--backend" => {
-                backend = Backend::parse(&value("--backend")?)?;
+                let name = value("--backend")?.to_ascii_lowercase();
+                backend = Backend::parse(&name)
+                    .ok_or_else(|| format!("unknown backend {name} (sim|store)"))?;
             }
             "--samples" => {
                 options.num_configs = value("--samples")?
@@ -195,9 +160,12 @@ fn main() -> ExitCode {
         args.backend.name()
     );
 
-    let mut db = args
-        .backend
-        .open(args.dbms, workload.catalog.clone(), args.options.seed);
+    let mut db = args.backend.open(
+        args.dbms,
+        workload.catalog.clone(),
+        Hardware::p3_2xlarge(),
+        args.options.seed,
+    );
     let llm = LlmClient::new(SimulatedLlm::new());
     let result = match LambdaTune::new(args.options).tune(db.as_mut(), &workload, &llm) {
         Ok(r) => r,

@@ -399,10 +399,7 @@ mod tests {
         // Compare the winner against the default configuration by running
         // the workload under both.
         let mut fresh = SimDb::new(Dbms::Postgres, w.catalog.clone(), Hardware::p3_2xlarge(), 7);
-        let mut default_time = Secs::ZERO;
-        for q in &w.queries {
-            default_time += fresh.execute(&q.parsed, Secs::INFINITY).time;
-        }
+        let (default_time, _) = lt_workloads::measure_workload(&mut fresh, &w, Secs::INFINITY);
         assert!(
             result.best_time < default_time,
             "λ-Tune {} should beat default {default_time}",

@@ -41,20 +41,8 @@ pub trait Tuner {
     fn tune(&self, db: &mut dyn TuningTarget, workload: &Workload, budget: Secs) -> TunerRun;
 }
 
-/// Executes the full workload under the *current* configuration with a
-/// total-time cap. Returns the total time and whether all queries finished.
-pub fn measure_workload(db: &mut dyn TuningTarget, workload: &Workload, cap: Secs) -> (Secs, bool) {
-    let mut total = Secs::ZERO;
-    for wq in &workload.queries {
-        let remaining = (cap - total).clamp_non_negative();
-        let outcome = db.execute(&wq.parsed, remaining);
-        total += outcome.time;
-        if !outcome.completed {
-            return (total, false);
-        }
-    }
-    (total, true)
-}
+/// Re-exported from `lt-workloads`, next to [`Workload`].
+pub use lt_workloads::measure_workload;
 
 /// Applies `config` (knobs + eager index builds), measures the workload
 /// under `cap`, then drops the indexes. Returns `(time, completed)`;

@@ -14,7 +14,7 @@
 
 use lambda_tune::{cluster_queries, extract_snippets, find_optimal_order, Compressor};
 use lt_common::derive_seed;
-use lt_dbms::{Dbms, Hardware, IndexCatalog, KnobSet, Optimizer, SimDb};
+use lt_dbms::{Dbms, Hardware, IndexCatalog, KnobSet, Optimizer, SimDb, TuningTarget};
 use lt_workloads::Benchmark;
 use std::hint::black_box;
 use std::time::Instant;

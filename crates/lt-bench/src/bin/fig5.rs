@@ -7,7 +7,7 @@ use lambda_tune::{LambdaTune, LambdaTuneOptions};
 use lt_bench::{base_seed, make_db, trials, Scenario};
 use lt_common::json;
 use lt_common::Secs;
-use lt_dbms::Dbms;
+use lt_dbms::{Dbms, TuningTarget};
 use lt_llm::{LlmClient, SimulatedLlm};
 use lt_workloads::Benchmark;
 
@@ -36,10 +36,7 @@ fn main() {
     // fresh instances.
     let (mut db_default, _) = make_db(scenario, seed);
     let (mut db_tuned, _) = make_db(scenario, seed);
-    db_tuned.apply_knobs(&best);
-    for spec in best.index_specs() {
-        db_tuned.create_index(spec);
-    }
+    db_tuned.apply(&best);
 
     println!("Figure 5: Query Execution Times (TPC-H 1GB, Postgres)");
     println!("λ-Tune vs Default Configuration\n");

@@ -11,7 +11,7 @@ use lt_baselines::{Db2Advisor, Dexter};
 use lt_bench::{base_seed, make_db, parallel_map, Scenario};
 use lt_common::json;
 use lt_common::Secs;
-use lt_dbms::{Dbms, IndexSpec};
+use lt_dbms::{Dbms, IndexSpec, TuningTarget};
 use lt_workloads::Benchmark;
 
 /// Measures the workload with the given index set under default knobs.

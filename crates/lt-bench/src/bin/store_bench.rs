@@ -26,7 +26,7 @@ use lt_common::{json, obs, Secs};
 use lt_dbms::{Configuration, CostConstants, Dbms, Hardware, SimDb, TuningTarget};
 use lt_llm::{LlmClient, SimulatedLlm};
 use lt_store::StoreDb;
-use lt_workloads::{Benchmark, Workload};
+use lt_workloads::{measure_workload, Benchmark, Workload};
 
 /// Which knob a sweep cell varies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,14 +52,6 @@ fn fresh_store(w: &Workload, seed: u64) -> StoreDb {
     StoreDb::new(Dbms::Postgres, w.catalog.clone(), hardware(), seed)
 }
 
-/// Runs every workload query to completion, returning the total proxy time.
-fn run_workload(db: &mut StoreDb, w: &Workload) -> f64 {
-    w.queries
-        .iter()
-        .map(|q| db.execute(&q.parsed, Secs::INFINITY).time.as_f64())
-        .sum()
-}
-
 /// Measures one sweep cell on a fresh engine: applies the knob script,
 /// warms the pool with one workload pass, then measures a steady-state
 /// pass. Hit rate and spill counters come from the measured pass only.
@@ -77,10 +69,10 @@ fn sweep_cell(benchmark: Benchmark, knob: SweepKnob, value: &'static str, seed: 
     };
     let config = Configuration::parse(&script, Dbms::Postgres, &w.catalog);
     db.apply_knobs(&config);
-    run_workload(&mut db, &w); // warm-up pass
+    measure_workload(&mut db, &w, Secs::INFINITY); // warm-up pass
     let bp0 = db.pool_stats();
     let ex0 = db.exec_totals();
-    let proxy_seconds = run_workload(&mut db, &w);
+    let proxy_seconds = measure_workload(&mut db, &w, Secs::INFINITY).0.as_f64();
     let bp1 = db.pool_stats();
     let ex1 = db.exec_totals();
     let hits = bp1.hits - bp0.hits;
@@ -185,7 +177,9 @@ fn tuning_phase(benchmark: Benchmark, seed: u64, smoke: bool) -> TuningOutcome {
     let _span = obs::span("tune");
     let w = benchmark.load();
     let mut default_db = fresh_store(&w, seed);
-    let default_proxy_seconds = run_workload(&mut default_db, &w);
+    let default_proxy_seconds = measure_workload(&mut default_db, &w, Secs::INFINITY)
+        .0
+        .as_f64();
     drop(default_db);
 
     let llm = LlmClient::new(SimulatedLlm::new());
@@ -205,17 +199,15 @@ fn tuning_phase(benchmark: Benchmark, seed: u64, smoke: bool) -> TuningOutcome {
         .expect("selector must produce a winning configuration");
 
     let mut tuned_db = fresh_store(&w, seed);
-    tuned_db.apply_knobs(&best);
-    let specs: Vec<_> = best.index_specs().into_iter().cloned().collect();
-    for spec in &specs {
-        tuned_db.create_index(spec);
-    }
-    let tuned_proxy_seconds = run_workload(&mut tuned_db, &w);
+    tuned_db.apply(&best);
+    let tuned_proxy_seconds = measure_workload(&mut tuned_db, &w, Secs::INFINITY)
+        .0
+        .as_f64();
     TuningOutcome {
         default_proxy_seconds,
         tuned_proxy_seconds,
         winner_knobs: best.knob_changes().count(),
-        winner_indexes: specs.len(),
+        winner_indexes: best.index_specs().len(),
     }
 }
 

@@ -23,7 +23,7 @@ use lt_baselines::{
 };
 pub use lt_common::env::base_seed;
 use lt_common::{env, secs, Secs};
-use lt_dbms::{Dbms, Hardware, IndexSpec, SimDb};
+use lt_dbms::{Dbms, Hardware, IndexSpec, SimDb, TuningTarget};
 use lt_workloads::{Benchmark, Workload};
 
 /// One experimental scenario: a benchmark on a DBMS, with or without

@@ -404,6 +404,8 @@ mod tests {
 
     #[test]
     fn compute_may_read_the_same_memo_without_deadlock() {
+        // Counts under the counting test's names: never run alongside it.
+        let _guard = crate::obs::tests::test_lock();
         let (tx, rx) = std::sync::mpsc::channel();
         let worker = std::thread::spawn(move || {
             let memo = Memo::new(4, counters());
@@ -422,6 +424,8 @@ mod tests {
 
     #[test]
     fn failed_compute_inserts_nothing() {
+        // Counts under the counting test's names: never run alongside it.
+        let _guard = crate::obs::tests::test_lock();
         let memo: Memo<u64, u64> = Memo::new(4, counters());
         assert_eq!(memo.try_get_or_insert_with(1, || Err("no")), Err("no"));
         assert!(memo.is_empty());

@@ -1,4 +1,4 @@
-//! The simulated DBMS facade.
+//! The simulated DBMS.
 //!
 //! [`SimDb`] is what tuners hold: it owns the catalog, the active knob set,
 //! the materialized indexes and the virtual clock. Every operation that
@@ -6,16 +6,23 @@
 //! building an index, applying a configuration (restart/reload) — advances
 //! the clock; everything else (EXPLAIN, what-if planning) is free, matching
 //! how the paper's tuners budget their time.
+//!
+//! Its surface is its [`TuningTarget`] impl. The inherent methods beyond
+//! `new` and [`SimDb::set_cost_constants`] are the three hooks lt-store's
+//! `StoreDb` plans and builds through, so that a `StoreDb` wraps a `SimDb`
+//! of the same catalog and seed instead of copying its bookkeeping:
+//! [`SimDb::plan`], [`SimDb::estimator`] and [`SimDb::create_index_with`].
 
 use crate::catalog::Catalog;
 use crate::config::{Configuration, IndexSpec};
 use crate::executor::{ExecutionContext, ExecutionModel};
 use crate::hardware::Hardware;
 use crate::knobs::{Dbms, KnobSet};
-use crate::physical::IndexCatalog;
+use crate::physical::{Index, IndexCatalog};
 use crate::plan::Plan;
 use crate::plan_cache::{CacheStats, PlanCache};
-use crate::stats::QueryPredicates;
+use crate::stats::{Estimator, QueryPredicates};
+use crate::target::TuningTarget;
 use lt_common::{derive_seed, obs, secs, IndexId, Secs, VirtualClock};
 use lt_sql::ast::Query;
 use std::hash::{Hash, Hasher};
@@ -75,36 +82,6 @@ impl SimDb {
         }
     }
 
-    /// Content fingerprint of this instance's catalog.
-    pub fn catalog_fingerprint(&self) -> lt_common::Fingerprint {
-        self.plan_cache.catalog_fingerprint()
-    }
-
-    /// The target system flavour.
-    pub fn dbms(&self) -> Dbms {
-        self.dbms
-    }
-
-    /// Schema and statistics.
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
-    }
-
-    /// Machine description.
-    pub fn hardware(&self) -> Hardware {
-        self.hardware
-    }
-
-    /// Active knob values.
-    pub fn knobs(&self) -> &KnobSet {
-        &self.knobs
-    }
-
-    /// Currently materialized indexes.
-    pub fn indexes(&self) -> &IndexCatalog {
-        &self.indexes
-    }
-
     /// Replaces the execution-time cost constants (calibration:
     /// `store_bench` fits these against lt-store measurements). Plans and
     /// cached predicates are unaffected — the optimizer prices plans with
@@ -113,59 +90,28 @@ impl SimDb {
         self.model.set_costs(costs);
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> Secs {
-        self.clock.now()
+    /// Plans `query` under the *current* knobs and indexes through the plan
+    /// cache (see [`PlanCache::plan`]), with its extracted predicates.
+    pub fn plan(&self, query: &Query) -> (Arc<QueryPredicates>, Arc<Plan>) {
+        self.plan_tagged(query_tag(query), query)
     }
 
-    /// Charges externally-incurred latency (e.g. LLM API calls) to the
-    /// tuning clock.
-    pub fn clock_advance(&self, d: Secs) {
-        self.clock.advance(d);
+    /// The cardinality estimator the optimizer plans with: this instance's
+    /// catalog and statistics seed.
+    pub fn estimator(&self) -> Estimator<'_> {
+        Estimator::new(&self.catalog, self.model.stats_seed)
     }
 
-    /// Number of `execute` calls so far.
-    pub fn queries_executed(&self) -> u64 {
-        self.queries_executed
-    }
-
-    /// Number of executions that completed within their timeout.
-    pub fn queries_completed(&self) -> u64 {
-        self.queries_completed
-    }
-
-    // ---- configuration ----
-
-    /// Applies the knob assignments of a configuration (indexes are *not*
-    /// built here — callers create them lazily or eagerly as they choose).
-    /// A configuration fully describes the parameter state: knobs it does
-    /// not mention revert to their defaults. Charges reconfiguration time
-    /// (config reload/restart) once.
-    pub fn apply_knobs(&mut self, config: &Configuration) {
-        self.knobs = KnobSet::defaults(self.dbms);
-        let mut changed = 0;
-        for (name, value) in config.knob_changes() {
-            // Parse-time validation guarantees the knob exists.
-            if self.knobs.set(name, value).is_ok() {
-                changed += 1;
-            }
-        }
-        self.clock.advance(self.model.reconfigure_time(changed));
-        obs::counter("dbms.reconfigure", 1);
-        self.refresh_fingerprint();
-    }
-
-    /// Resets every knob to its default. Charges reconfiguration time.
-    pub fn reset_knobs(&mut self) {
-        self.knobs = KnobSet::defaults(self.dbms);
-        self.clock.advance(self.model.reconfigure_time(0));
-        obs::counter("dbms.reconfigure", 1);
-        self.refresh_fingerprint();
-    }
-
-    /// Builds an index, charging its build time. Building an index that
-    /// already exists charges a trivial catalog lookup only.
-    pub fn create_index(&mut self, spec: &IndexSpec) -> (IndexId, Secs) {
+    /// Adds `spec` to the index catalog and charges the build time `build`
+    /// returns for it (given this instance and the catalog entry just
+    /// added). An index that already exists charges a 0.01 s catalog lookup
+    /// and never calls `build`. [`TuningTarget::create_index`] is this hook
+    /// priced by the execution model.
+    pub fn create_index_with(
+        &mut self,
+        spec: &IndexSpec,
+        build: impl FnOnce(&SimDb, &Index) -> Secs,
+    ) -> (IndexId, Secs) {
         if let Some(existing) = self.indexes.find(spec.table, &spec.columns) {
             let t = secs(0.01);
             self.clock.advance(t);
@@ -175,8 +121,7 @@ impl SimDb {
         let id = self
             .indexes
             .add(spec.table, spec.columns.clone(), spec.name.clone());
-        let index = self.indexes.get(id).expect("just added").clone();
-        let t = self.model.index_build_time(&index, &self.ctx());
+        let t = build(self, self.indexes.get(id).expect("just added"));
         self.clock.advance(t);
         span.vt_end(self.clock.now());
         obs::counter("dbms.index_builds", 1);
@@ -184,144 +129,8 @@ impl SimDb {
         (id, t)
     }
 
-    /// Estimated build time of an index *without* building it (what-if).
-    pub fn estimate_index_build(&self, spec: &IndexSpec) -> Secs {
-        let probe = crate::physical::Index {
-            id: IndexId(u32::MAX),
-            table: spec.table,
-            columns: spec.columns.clone(),
-            name: String::new(),
-        };
-        self.model.index_build_time(&probe, &self.ctx())
-    }
-
-    /// Drops one index, charging drop time. Returns whether it existed.
-    pub fn drop_index(&mut self, id: IndexId) -> bool {
-        let existed = self.indexes.remove(id);
-        if existed {
-            self.clock.advance(self.model.index_drop_time());
-            self.refresh_fingerprint();
-        }
-        existed
-    }
-
-    /// Drops every index, charging per-index drop time.
-    pub fn drop_all_indexes(&mut self) {
-        let n = self.indexes.len() as f64;
-        self.indexes.clear();
-        self.clock
-            .advance(secs(n * self.model.index_drop_time().as_f64()));
-        self.refresh_fingerprint();
-    }
-
-    // ---- queries ----
-
-    /// Executes a query under `timeout`. Charges `min(true time, timeout)`
-    /// to the clock. Planning and predicate extraction are memoized (see
-    /// [`cache_stats`](Self::cache_stats)).
-    pub fn execute(&mut self, query: &Query, timeout: Secs) -> QueryOutcome {
-        let tag = query_tag(query);
-        let (preds, plan) = self.plan_current(tag, query);
-        let time = self.model.execution_time(
-            &plan,
-            &preds,
-            &self.ctx(),
-            tag,
-            self.knob_fingerprint,
-            self.exec_counter,
-        );
-        self.exec_counter += 1;
-        self.queries_executed += 1;
-        obs::counter("dbms.query_exec", 1);
-        if time <= timeout {
-            self.clock.advance(time);
-            self.queries_completed += 1;
-            QueryOutcome {
-                completed: true,
-                time,
-            }
-        } else {
-            self.clock.advance(timeout);
-            obs::counter("dbms.query_timeout", 1);
-            QueryOutcome {
-                completed: false,
-                time: timeout,
-            }
-        }
-    }
-
-    /// `EXPLAIN ANALYZE`: executes the query (charging its time to the
-    /// clock) and returns the annotated plan text with estimated vs actual
-    /// rows and per-operator time.
-    pub fn explain_analyze(&mut self, query: &Query) -> (String, QueryOutcome) {
-        let (preds, plan) = self.plan_current(query_tag(query), query);
-        let profile = self.model.profile(&plan, &preds, &self.ctx());
-        let outcome = self.execute(query, lt_common::Secs::INFINITY);
-        let mut text = String::new();
-        for p in &profile {
-            for _ in 0..p.depth {
-                text.push_str("  ");
-            }
-            text.push_str(&format!(
-                "{}  (rows est={:.0} actual={:.0}) (time={:.3}s)\n",
-                p.op, p.est_rows, p.actual_rows, p.seconds
-            ));
-        }
-        text.push_str(&format!("Execution Time: {:.3}\n", outcome.time));
-        (text, outcome)
-    }
-
-    /// Plans a query under the current configuration (free: EXPLAIN).
-    pub fn explain(&self, query: &Query) -> Plan {
-        (*self.plan_current(query_tag(query), query).1).clone()
-    }
-
-    /// Plans a query as if `hypothetical` were the index set (free what-if
-    /// optimization, the primitive behind Dexter / DB2 Advisor).
-    pub fn explain_with_indexes(&self, query: &Query, hypothetical: &IndexCatalog) -> Plan {
-        self.plan_cache.plan_what_if(
-            query,
-            &self.catalog,
-            &self.knobs,
-            self.planner_fp,
-            hypothetical,
-        )
-    }
-
-    /// Plans a query under hypothetical knobs (free what-if).
-    pub fn explain_with_knobs(&self, query: &Query, knobs: &KnobSet) -> Plan {
-        let knobs_fp = knobs.planner_fingerprint();
-        self.plan_cache
-            .plan_what_if(query, &self.catalog, knobs, knobs_fp, &self.indexes)
-    }
-
-    /// Extracted predicates of `query`, memoized per query text. The schema
-    /// catalog is immutable for the lifetime of the instance, so the query
-    /// fingerprint alone keys the entry.
-    pub fn predicates(&self, query: &Query) -> Arc<QueryPredicates> {
-        self.plan_cache.predicates(&self.catalog, query)
-    }
-
-    /// Plan-cache hit/miss counters (plans and predicate extractions).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.plan_cache.stats()
-    }
-
-    /// Plan/extract-cache counters accumulated since the last
-    /// [`SimDb::take_cache_window`] call (cumulative counters untouched).
-    pub fn cache_window_stats(&self) -> CacheStats {
-        self.plan_cache.window_stats()
-    }
-
-    /// Returns the windowed cache counters and starts a fresh window. The
-    /// drift monitor calls this per observation interval: a *recent* hit
-    /// rate can collapse even while the cumulative rate stays high.
-    pub fn take_cache_window(&self) -> CacheStats {
-        self.plan_cache.take_window()
-    }
-
-    /// Plans under the *current* knobs and indexes; see [`PlanCache::plan`].
-    fn plan_current(&self, tag: u64, query: &Query) -> (Arc<QueryPredicates>, Arc<Plan>) {
+    /// [`SimDb::plan`] for a query already fingerprinted as `tag`.
+    fn plan_tagged(&self, tag: u64, query: &Query) -> (Arc<QueryPredicates>, Arc<Plan>) {
         self.plan_cache.plan(
             tag,
             query,
@@ -353,6 +162,192 @@ impl SimDb {
         }
         self.knob_fingerprint = h.finish();
         self.planner_fp = self.knobs.planner_fingerprint();
+    }
+}
+
+impl TuningTarget for SimDb {
+    fn dbms(&self) -> Dbms {
+        self.dbms
+    }
+
+    fn catalog(&self) -> &Catalog {
+        &self.catalog
+    }
+
+    fn hardware(&self) -> Hardware {
+        self.hardware
+    }
+
+    fn knobs(&self) -> &KnobSet {
+        &self.knobs
+    }
+
+    fn indexes(&self) -> &IndexCatalog {
+        &self.indexes
+    }
+
+    fn catalog_fingerprint(&self) -> lt_common::Fingerprint {
+        self.plan_cache.catalog_fingerprint()
+    }
+
+    fn now(&self) -> Secs {
+        self.clock.now()
+    }
+
+    fn clock_advance(&self, d: Secs) {
+        self.clock.advance(d);
+    }
+
+    fn queries_executed(&self) -> u64 {
+        self.queries_executed
+    }
+
+    fn queries_completed(&self) -> u64 {
+        self.queries_completed
+    }
+
+    // ---- configuration ----
+
+    fn apply_knobs(&mut self, config: &Configuration) {
+        self.knobs = KnobSet::defaults(self.dbms);
+        let mut changed = 0;
+        for (name, value) in config.knob_changes() {
+            // Parse-time validation guarantees the knob exists.
+            if self.knobs.set(name, value).is_ok() {
+                changed += 1;
+            }
+        }
+        self.clock.advance(self.model.reconfigure_time(changed));
+        obs::counter("dbms.reconfigure", 1);
+        self.refresh_fingerprint();
+    }
+
+    fn reset_knobs(&mut self) {
+        self.knobs = KnobSet::defaults(self.dbms);
+        self.clock.advance(self.model.reconfigure_time(0));
+        obs::counter("dbms.reconfigure", 1);
+        self.refresh_fingerprint();
+    }
+
+    fn create_index(&mut self, spec: &IndexSpec) -> (IndexId, Secs) {
+        self.create_index_with(spec, |db, index| {
+            db.model.index_build_time(index, &db.ctx())
+        })
+    }
+
+    fn estimate_index_build(&self, spec: &IndexSpec) -> Secs {
+        let probe = Index {
+            id: IndexId(u32::MAX),
+            table: spec.table,
+            columns: spec.columns.clone(),
+            name: String::new(),
+        };
+        self.model.index_build_time(&probe, &self.ctx())
+    }
+
+    fn drop_index(&mut self, id: IndexId) -> bool {
+        let existed = self.indexes.remove(id);
+        if existed {
+            self.clock.advance(self.model.index_drop_time());
+            self.refresh_fingerprint();
+        }
+        existed
+    }
+
+    fn drop_all_indexes(&mut self) {
+        let n = self.indexes.len() as f64;
+        self.indexes.clear();
+        self.clock
+            .advance(secs(n * self.model.index_drop_time().as_f64()));
+        self.refresh_fingerprint();
+    }
+
+    // ---- queries ----
+
+    fn execute(&mut self, query: &Query, timeout: Secs) -> QueryOutcome {
+        let tag = query_tag(query);
+        let (preds, plan) = self.plan_tagged(tag, query);
+        let time = self.model.execution_time(
+            &plan,
+            &preds,
+            &self.ctx(),
+            tag,
+            self.knob_fingerprint,
+            self.exec_counter,
+        );
+        self.exec_counter += 1;
+        self.queries_executed += 1;
+        obs::counter("dbms.query_exec", 1);
+        if time <= timeout {
+            self.clock.advance(time);
+            self.queries_completed += 1;
+            QueryOutcome {
+                completed: true,
+                time,
+            }
+        } else {
+            self.clock.advance(timeout);
+            obs::counter("dbms.query_timeout", 1);
+            QueryOutcome {
+                completed: false,
+                time: timeout,
+            }
+        }
+    }
+
+    /// Annotates every operator with estimated vs actual rows and its time.
+    fn explain_analyze(&mut self, query: &Query) -> (String, QueryOutcome) {
+        let (preds, plan) = self.plan(query);
+        let profile = self.model.profile(&plan, &preds, &self.ctx());
+        let outcome = self.execute(query, lt_common::Secs::INFINITY);
+        let mut text = String::new();
+        for p in &profile {
+            for _ in 0..p.depth {
+                text.push_str("  ");
+            }
+            text.push_str(&format!(
+                "{}  (rows est={:.0} actual={:.0}) (time={:.3}s)\n",
+                p.op, p.est_rows, p.actual_rows, p.seconds
+            ));
+        }
+        text.push_str(&format!("Execution Time: {:.3}\n", outcome.time));
+        (text, outcome)
+    }
+
+    fn explain(&self, query: &Query) -> Plan {
+        (*self.plan(query).1).clone()
+    }
+
+    fn explain_with_indexes(&self, query: &Query, hypothetical: &IndexCatalog) -> Plan {
+        self.plan_cache.plan_what_if(
+            query,
+            &self.catalog,
+            &self.knobs,
+            self.planner_fp,
+            hypothetical,
+        )
+    }
+
+    fn explain_with_knobs(&self, query: &Query, knobs: &KnobSet) -> Plan {
+        let knobs_fp = knobs.planner_fingerprint();
+        self.plan_cache
+            .plan_what_if(query, &self.catalog, knobs, knobs_fp, &self.indexes)
+    }
+
+    fn predicates(&self, query: &Query) -> Arc<QueryPredicates> {
+        self.plan_cache.predicates(&self.catalog, query)
+    }
+
+    fn cache_stats(&self) -> CacheStats {
+        self.plan_cache.stats()
+    }
+
+    fn cache_window_stats(&self) -> CacheStats {
+        self.plan_cache.window_stats()
+    }
+
+    fn take_cache_window(&self) -> CacheStats {
+        self.plan_cache.take_window()
     }
 }
 
@@ -437,6 +432,23 @@ mod tests {
         let (id2, t2) = db.create_index(&spec);
         assert_eq!(id1, id2);
         assert!(t2 <= secs(0.01));
+        assert_eq!(db.indexes().len(), 1);
+    }
+
+    #[test]
+    fn create_index_with_on_an_existing_index_charges_a_lookup_only() {
+        let mut db = db();
+        let spec = IndexSpec {
+            table: db.catalog().table_by_name("orders").unwrap(),
+            columns: vec![db.catalog().resolve_column(None, "o_orderkey").unwrap()],
+            name: None,
+        };
+        let (id, t) = db.create_index_with(&spec, |_, _| secs(3.0));
+        assert_eq!(t, secs(3.0));
+        let before = db.now();
+        let (again, t) = db.create_index_with(&spec, |_, _| panic!("built twice"));
+        assert_eq!((again, t), (id, secs(0.01)));
+        assert_eq!(db.now(), before + secs(0.01));
         assert_eq!(db.indexes().len(), 1);
     }
 

@@ -20,7 +20,10 @@
 //!
 //! Everything a tuner can observe — `EXPLAIN` cost estimates, wall-clock
 //! query times, index-creation times, timeout interrupts — comes out of this
-//! crate, so λ-Tune and all baselines run unmodified against it.
+//! crate, so λ-Tune and all baselines run unmodified against it. That
+//! surface is one trait, [`TuningTarget`]; [`SimDb`] implements it, and its
+//! impl is the simulator's whole surface (lt-store's `StoreDb` implements
+//! it too, planning through an embedded `SimDb`).
 
 pub mod catalog;
 pub mod config;
@@ -38,11 +41,11 @@ pub mod target;
 pub use catalog::{Catalog, ColumnMeta, TableBuilder, TableMeta};
 pub use config::{ConfigCommand, Configuration, IndexSpec};
 pub use db::{QueryOutcome, SimDb};
-pub use executor::{CostConstants, ExecutionModel};
+pub use executor::CostConstants;
 pub use hardware::Hardware;
 pub use knobs::{Dbms, KnobCategory, KnobDef, KnobSet, KnobValue};
 pub use optimizer::{Optimizer, DP_ONLY_RELATION_LIMIT, DP_RELATION_LIMIT};
 pub use physical::{Index, IndexCatalog};
 pub use plan::{PlanNode, PlanOp};
-pub use plan_cache::{CacheStats, PlanCache, PlanKey};
+pub use plan_cache::CacheStats;
 pub use target::TuningTarget;

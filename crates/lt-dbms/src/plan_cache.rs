@@ -1,5 +1,5 @@
-//! Memoized planning, shared by both tuning targets (the simulator's
-//! [`SimDb`](crate::SimDb) and lt-store's `StoreDb`).
+//! Memoized planning for [`SimDb`](crate::SimDb), and so for lt-store's
+//! `StoreDb`, which plans through an embedded `SimDb`.
 //!
 //! Planning is pure: the chosen plan depends only on (catalog, statistics
 //! seed, query, planner-relevant knobs, index set). λ-Tune's selector

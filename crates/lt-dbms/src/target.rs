@@ -1,23 +1,21 @@
 //! The tuning-target trait: the database surface every tuner consumes.
 //!
 //! `lambda-tune`'s pipeline, the baselines, drift re-tuning and the fleet
-//! cache never needed anything from [`SimDb`](crate::SimDb) beyond the
-//! methods below — planning, timed execution, index DDL, knob
-//! reconfiguration and catalog/statistics access. [`TuningTarget`] names
-//! that surface so a second backend (the real storage engine in
-//! `lt-store`) can stand in for the simulator behind the same tuners.
+//! cache need nothing from a database beyond the methods below — planning,
+//! timed execution, index DDL, knob reconfiguration and catalog/statistics
+//! access (paper §4–5: EXPLAIN costs, timed executions, timeout
+//! interrupts). [`TuningTarget`] names that surface once; the simulator
+//! ([`SimDb`](crate::SimDb)) and the real storage engine (`lt-store`'s
+//! `StoreDb`) both implement it, and `SimDb`'s impl *is* its surface: it
+//! has no inherent copy of these methods.
 //!
 //! The trait is object-safe on purpose: `lt-serve` holds its per-session
 //! database as `Box<dyn TuningTarget + Send>` and picks the backend per
 //! request, from the `"backend"` field of the request body.
-//!
-//! The `SimDb` implementation is pure delegation to the inherent methods,
-//! so existing callers — and the bytes of every committed `results/*.json`
-//! — are unaffected by the extraction.
 
 use crate::catalog::Catalog;
 use crate::config::{Configuration, IndexSpec};
-use crate::db::{QueryOutcome, SimDb};
+use crate::db::QueryOutcome;
 use crate::hardware::Hardware;
 use crate::knobs::{Dbms, KnobSet};
 use crate::physical::IndexCatalog;
@@ -31,9 +29,9 @@ use std::sync::Arc;
 /// A database system a tuner can observe and reconfigure.
 ///
 /// Timed execution charges a clock (virtual seconds for the simulator,
-/// measured wall seconds for a real engine); everything else — planning,
-/// catalog statistics, index DDL, knob application — is the shared
-/// vocabulary of the λ-Tune pipeline and the baselines.
+/// proxy seconds measured on a replica for lt-store); everything else —
+/// planning, catalog statistics, index DDL, knob application — is the
+/// shared vocabulary of the λ-Tune pipeline and the baselines.
 pub trait TuningTarget {
     /// Which system's knob/script dialect this target speaks.
     fn dbms(&self) -> Dbms;
@@ -59,125 +57,63 @@ pub trait TuningTarget {
     fn queries_completed(&self) -> u64;
 
     /// Applies a configuration's knob commands (index commands are the
-    /// caller's business via [`TuningTarget::create_index`]), charging
-    /// reconfiguration time to the clock.
+    /// caller's business via [`TuningTarget::create_index`], or use
+    /// [`TuningTarget::apply`]). A configuration fully describes the
+    /// parameter state: knobs it does not mention revert to their
+    /// defaults. Charges reconfiguration (reload/restart) time once.
     fn apply_knobs(&mut self, config: &Configuration);
-    /// Restores default knob values.
+    /// Restores default knob values, charging reconfiguration time.
     fn reset_knobs(&mut self);
-    /// Builds a secondary index (idempotent), returning its id and the
-    /// build time charged to the clock.
+    /// Builds a secondary index, returning its id and the build time
+    /// charged to the clock. Re-creating an existing index returns its id
+    /// and charges a 0.01 s catalog lookup only.
     fn create_index(&mut self, spec: &IndexSpec) -> (IndexId, Secs);
-    /// Estimated build time of `spec` without building it.
+    /// Estimated build time of `spec` without building it (what-if).
     fn estimate_index_build(&self, spec: &IndexSpec) -> Secs;
-    /// Drops one index; false when the id is unknown.
+    /// Drops one index, charging drop time; false when the id is unknown.
     fn drop_index(&mut self, id: IndexId) -> bool;
-    /// Drops every secondary index.
+    /// Drops every secondary index, charging per-index drop time.
     fn drop_all_indexes(&mut self);
 
     /// Runs `query` under the current configuration with a time cap,
-    /// charging the (possibly truncated) execution time to the clock.
+    /// charging `min(execution time, timeout)` to the clock.
     fn execute(&mut self, query: &Query, timeout: Secs) -> QueryOutcome;
-    /// Plans `query` under the current configuration.
+    /// Plans `query` under the current configuration (free: EXPLAIN).
     fn explain(&self, query: &Query) -> Plan;
-    /// Plans `query` as if `hypothetical` were the index set (what-if
-    /// advising; nothing is built).
+    /// Plans `query` as if `hypothetical` were the index set (free what-if
+    /// optimization, the primitive behind Dexter / DB2 Advisor).
     fn explain_with_indexes(&self, query: &Query, hypothetical: &IndexCatalog) -> Plan;
-    /// Plans `query` as if `knobs` were in force (nothing is applied).
+    /// Plans `query` as if `knobs` were in force (free what-if).
     fn explain_with_knobs(&self, query: &Query, knobs: &KnobSet) -> Plan;
     /// `EXPLAIN ANALYZE`: the rendered plan plus a real timed execution.
     fn explain_analyze(&mut self, query: &Query) -> (String, QueryOutcome);
-    /// Extracted (cached) predicate summary of `query`.
+    /// Extracted predicates of `query`, memoized per query text.
     fn predicates(&self, query: &Query) -> Arc<QueryPredicates>;
 
     /// Lifetime plan/extract cache counters.
     fn cache_stats(&self) -> CacheStats;
-    /// Cache counters since the last [`TuningTarget::take_cache_window`].
+    /// Cache counters since the last [`TuningTarget::take_cache_window`]
+    /// (cumulative counters untouched).
     fn cache_window_stats(&self) -> CacheStats;
-    /// Drains and returns the windowed cache counters.
+    /// Returns the windowed cache counters and starts a fresh window. The
+    /// drift monitor calls this per observation interval: a *recent* hit
+    /// rate can collapse even while the cumulative rate stays high.
     fn take_cache_window(&self) -> CacheStats;
-}
 
-impl TuningTarget for SimDb {
-    fn dbms(&self) -> Dbms {
-        SimDb::dbms(self)
-    }
-    fn catalog(&self) -> &Catalog {
-        SimDb::catalog(self)
-    }
-    fn hardware(&self) -> Hardware {
-        SimDb::hardware(self)
-    }
-    fn knobs(&self) -> &KnobSet {
-        SimDb::knobs(self)
-    }
-    fn indexes(&self) -> &IndexCatalog {
-        SimDb::indexes(self)
-    }
-    fn catalog_fingerprint(&self) -> Fingerprint {
-        SimDb::catalog_fingerprint(self)
-    }
-    fn now(&self) -> Secs {
-        SimDb::now(self)
-    }
-    fn clock_advance(&self, d: Secs) {
-        SimDb::clock_advance(self, d)
-    }
-    fn queries_executed(&self) -> u64 {
-        SimDb::queries_executed(self)
-    }
-    fn queries_completed(&self) -> u64 {
-        SimDb::queries_completed(self)
-    }
-    fn apply_knobs(&mut self, config: &Configuration) {
-        SimDb::apply_knobs(self, config)
-    }
-    fn reset_knobs(&mut self) {
-        SimDb::reset_knobs(self)
-    }
-    fn create_index(&mut self, spec: &IndexSpec) -> (IndexId, Secs) {
-        SimDb::create_index(self, spec)
-    }
-    fn estimate_index_build(&self, spec: &IndexSpec) -> Secs {
-        SimDb::estimate_index_build(self, spec)
-    }
-    fn drop_index(&mut self, id: IndexId) -> bool {
-        SimDb::drop_index(self, id)
-    }
-    fn drop_all_indexes(&mut self) {
-        SimDb::drop_all_indexes(self)
-    }
-    fn execute(&mut self, query: &Query, timeout: Secs) -> QueryOutcome {
-        SimDb::execute(self, query, timeout)
-    }
-    fn explain(&self, query: &Query) -> Plan {
-        SimDb::explain(self, query)
-    }
-    fn explain_with_indexes(&self, query: &Query, hypothetical: &IndexCatalog) -> Plan {
-        SimDb::explain_with_indexes(self, query, hypothetical)
-    }
-    fn explain_with_knobs(&self, query: &Query, knobs: &KnobSet) -> Plan {
-        SimDb::explain_with_knobs(self, query, knobs)
-    }
-    fn explain_analyze(&mut self, query: &Query) -> (String, QueryOutcome) {
-        SimDb::explain_analyze(self, query)
-    }
-    fn predicates(&self, query: &Query) -> Arc<QueryPredicates> {
-        SimDb::predicates(self, query)
-    }
-    fn cache_stats(&self) -> CacheStats {
-        SimDb::cache_stats(self)
-    }
-    fn cache_window_stats(&self) -> CacheStats {
-        SimDb::cache_window_stats(self)
-    }
-    fn take_cache_window(&self) -> CacheStats {
-        SimDb::take_cache_window(self)
+    /// Applies a whole configuration: its knobs, then every index it
+    /// creates, in script order.
+    fn apply(&mut self, config: &Configuration) {
+        self.apply_knobs(config);
+        for spec in config.index_specs() {
+            self.create_index(spec);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimDb;
     use lt_sql::parse_query;
 
     fn catalog() -> Catalog {
@@ -192,30 +128,48 @@ mod tests {
         c
     }
 
+    fn sim() -> SimDb {
+        SimDb::new(Dbms::Postgres, catalog(), Hardware::p3_2xlarge(), 7)
+    }
+
     /// The trait must stay usable as `dyn TuningTarget` (lt-serve boxes
-    /// it), and delegation must agree with the inherent methods.
+    /// it), and dynamic dispatch must agree with static dispatch.
     #[test]
-    fn simdb_behind_the_trait_matches_the_inherent_surface() {
-        let mut inherent = SimDb::new(Dbms::Postgres, catalog(), Hardware::p3_2xlarge(), 7);
-        let mut boxed: Box<dyn TuningTarget> = Box::new(SimDb::new(
-            Dbms::Postgres,
-            catalog(),
-            Hardware::p3_2xlarge(),
-            7,
-        ));
-        assert_eq!(boxed.catalog_fingerprint(), inherent.catalog_fingerprint());
+    fn dynamic_dispatch_matches_static_dispatch() {
+        let mut direct = sim();
+        let mut boxed: Box<dyn TuningTarget> = Box::new(sim());
+        assert_eq!(boxed.catalog_fingerprint(), direct.catalog_fingerprint());
         let queries = [
             "select count(*) from orders",
             "select * from lineitem, orders where l_orderkey = o_orderkey",
         ];
         for sql in queries {
             let q = parse_query(sql).unwrap();
-            let a = inherent.execute(&q, Secs::INFINITY);
+            let a = direct.execute(&q, Secs::INFINITY);
             let b = boxed.execute(&q, Secs::INFINITY);
             assert_eq!(a.completed, b.completed);
             assert_eq!(a.time, b.time, "{sql}");
         }
-        assert_eq!(inherent.now(), boxed.now());
-        assert_eq!(inherent.queries_completed(), boxed.queries_completed());
+        assert_eq!(direct.now(), boxed.now());
+        assert_eq!(direct.queries_completed(), boxed.queries_completed());
+    }
+
+    #[test]
+    fn apply_through_dyn_sets_knobs_and_builds_every_index() {
+        let mut db: Box<dyn TuningTarget> = Box::new(sim());
+        let config = Configuration::parse(
+            "ALTER SYSTEM SET work_mem = '1GB';\n\
+             CREATE INDEX ON lineitem (l_quantity);\n\
+             CREATE INDEX ON orders (o_orderkey);",
+            Dbms::Postgres,
+            db.catalog(),
+        );
+        db.apply(&config);
+        assert_eq!(db.knobs().get_f64("work_mem"), (1u64 << 30) as f64);
+        assert_eq!(db.indexes().len(), 2);
+        for spec in config.index_specs() {
+            assert!(db.indexes().find(spec.table, &spec.columns).is_some());
+        }
+        assert!(db.now() > Secs::ZERO);
     }
 }

@@ -3,7 +3,7 @@
 //! or index mutations must never serve a stale plan.
 
 use lt_common::{derive_seed, secs};
-use lt_dbms::{Catalog, Configuration, Dbms, Hardware, IndexSpec, Optimizer, SimDb};
+use lt_dbms::{Catalog, Configuration, Dbms, Hardware, IndexSpec, Optimizer, SimDb, TuningTarget};
 use lt_sql::parse_query;
 
 fn catalog() -> Catalog {

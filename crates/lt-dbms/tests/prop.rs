@@ -6,7 +6,7 @@
 //! with zero external crates), so every run exercises the same cases.
 
 use lt_common::{seeded_rng, Rng, Secs};
-use lt_dbms::{Catalog, Configuration, Dbms, Hardware, SimDb};
+use lt_dbms::{Catalog, Configuration, Dbms, Hardware, SimDb, TuningTarget};
 
 const CASES: usize = 64;
 

@@ -9,12 +9,12 @@ use crate::detect::{DriftConfig, DriftEvent, DriftMonitor};
 use crate::retune::{retune, RetuneOptions, TuneMemory};
 use lambda_tune::{LambdaTune, LambdaTuneOptions};
 use lt_common::{derive_seed, Result, Secs};
-use lt_dbms::{Configuration, Dbms, Hardware, SimDb};
+use lt_dbms::{Configuration, Dbms, Hardware, SimDb, TuningTarget};
 use lt_llm::{LlmClient, SimulatedLlm};
 use lt_synth::{
     predicate_templates, Phase, PhasedStream, PhasedStreamSpec, ShiftClass, StreamSpec,
 };
-use lt_workloads::{Benchmark, Workload};
+use lt_workloads::{measure_workload, Benchmark, Workload};
 
 /// Outcome of playing one phased stream through the monitor.
 #[derive(Debug, Clone)]
@@ -156,21 +156,6 @@ fn fresh_db(catalog: &lt_dbms::Catalog, seed: u64) -> SimDb {
     )
 }
 
-fn apply(db: &mut SimDb, config: &Configuration) {
-    db.apply_knobs(config);
-    for spec in config.index_specs() {
-        db.create_index(spec);
-    }
-}
-
-fn measure(db: &mut SimDb, workload: &Workload) -> f64 {
-    let mut total = Secs::ZERO;
-    for q in &workload.queries {
-        total += db.execute(&q.parsed, Secs::INFINITY).time;
-    }
-    total.as_f64()
-}
-
 /// The drifted workload of the comparison: the post-shift predicate
 /// templates plus the back half of TPC-H — overlapping enough that the
 /// stale configuration is not hopeless, shifted enough that re-tuning
@@ -211,11 +196,18 @@ pub fn compare_retune(seed: u64) -> Result<RetuneComparison> {
         options,
     };
 
+    // Every arm's winner runs the drifted workload on a fresh database of
+    // one measurement seed.
+    let time_under = |config: &Configuration| {
+        let mut db = fresh_db(&original.catalog, derive_seed(seed, 3));
+        db.apply(config);
+        measure_workload(&mut db, &drifted, Secs::INFINITY)
+            .0
+            .as_f64()
+    };
+
     // Arm 1 — stale: keep running the old configuration.
-    let measure_seed = derive_seed(seed, 3);
-    let mut stale_db = fresh_db(&original.catalog, measure_seed);
-    apply(&mut stale_db, &stale_config);
-    let stale_time = measure(&mut stale_db, &drifted);
+    let stale_time = time_under(&stale_config);
 
     // Arm 2 — full re-tune: from scratch at the full budget.
     let full_options = LambdaTuneOptions {
@@ -229,9 +221,7 @@ pub fn compare_retune(seed: u64) -> Result<RetuneComparison> {
         .best_config
         .clone()
         .ok_or_else(|| lt_common::LtError::Tuning("full re-tune found no config".into()))?;
-    let mut full_measure_db = fresh_db(&original.catalog, measure_seed);
-    apply(&mut full_measure_db, &full_config);
-    let full_time = measure(&mut full_measure_db, &drifted);
+    let full_time = time_under(&full_config);
 
     // Arm 3 — warm start: previous prompt + winner at half the budget.
     let mut warm_db = fresh_db(&original.catalog, derive_seed(seed, 6));
@@ -251,9 +241,7 @@ pub fn compare_retune(seed: u64) -> Result<RetuneComparison> {
         .best_config
         .clone()
         .ok_or_else(|| lt_common::LtError::Tuning("warm re-tune found no config".into()))?;
-    let mut warm_measure_db = fresh_db(&original.catalog, measure_seed);
-    apply(&mut warm_measure_db, &warm_config);
-    let warm_time = measure(&mut warm_measure_db, &drifted);
+    let warm_time = time_under(&warm_config);
 
     // Arm 4 — delta prompt: a controlled repeat of arm 3 (same database
     // seed, same sampling seed, same budget) where the only change is the
@@ -281,9 +269,7 @@ pub fn compare_retune(seed: u64) -> Result<RetuneComparison> {
         .best_config
         .clone()
         .ok_or_else(|| lt_common::LtError::Tuning("delta re-tune found no config".into()))?;
-    let mut delta_measure_db = fresh_db(&original.catalog, measure_seed);
-    apply(&mut delta_measure_db, &delta_config);
-    let delta_time = measure(&mut delta_measure_db, &drifted);
+    let delta_time = time_under(&delta_config);
 
     Ok(RetuneComparison {
         stale_time,

@@ -199,21 +199,6 @@ impl Profile {
         self.total == 0
     }
 
-    /// Content digest of the frequency vector. `BTreeMap` iterates in
-    /// sorted key order, so two profiles built by any add/remove history
-    /// that lands on the same counts digest identically — this keys the
-    /// fleet tuning cache on workload *shape* rather than raw SQL text.
-    pub fn digest(&self) -> u64 {
-        use std::hash::Hasher;
-        let mut h = lt_common::FxHasher::new();
-        h.write_u64(self.total);
-        for (&feature, &count) in &self.counts {
-            h.write_u64(feature);
-            h.write_u64(count);
-        }
-        h.finish()
-    }
-
     /// Jensen–Shannon divergence (base 2, in `[0, 1]`) between the two
     /// normalized frequency vectors. Symmetric, finite even for disjoint
     /// supports, and deterministic: both maps iterate in sorted key order,
@@ -311,22 +296,6 @@ mod tests {
         let f10 = features(&sf10.catalog, &extract(&q.parsed, &sf10.catalog));
         // All but the (stats-dependent) selectivity bucket must agree.
         assert_eq!(f1[..f1.len() - 1], f10[..f10.len() - 1]);
-    }
-
-    #[test]
-    fn digest_depends_on_counts_not_history() {
-        let mut a = Profile::new();
-        a.add(&[1, 2]);
-        a.add(&[2, 3]);
-        let mut b = Profile::new();
-        b.add(&[3, 2, 2, 1]); // same multiset, different insertion history
-        assert_eq!(a.digest(), b.digest());
-        let mut c = b.clone();
-        c.add(&[1]);
-        assert_ne!(a.digest(), c.digest());
-        c.remove(&[1]);
-        assert_eq!(a.digest(), c.digest(), "remove restores the digest");
-        assert_eq!(Profile::new().digest(), Profile::default().digest());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The cross-session tuning cache.
 //!
-//! Many tuning sessions repeat an earlier one exactly: the same catalog,
-//! workload profile, hardware, backend, options (sampling seed included)
-//! and initial configuration. [`FleetCache`] holds the [`Outcome`] of each
+//! Many tuning sessions repeat an earlier one exactly: the same benchmark
+//! (one catalog and workload), hardware, backend, options (sampling seed
+//! included) and initial configuration. [`FleetCache`] holds the [`Outcome`] of each
 //! finished cold tune, keyed by a [`FleetKey`] that fingerprints all of
 //! those inputs. An exact hit serves the cached result, which is
 //! byte-identical to a cold run *by construction*: the pipeline is a pure
@@ -19,10 +19,9 @@ use crate::session::TuneRequest;
 use crate::wal::Outcome;
 use lambda_tune::LambdaTuneOptions;
 use lt_common::lru::{Counters, Memo};
-use lt_common::{hash_one, obs, Fingerprint, FxHasher};
+use lt_common::{hash_one, obs, FxHasher};
 use lt_dbms::Dbms;
-use lt_drift::Profile;
-use lt_workloads::Workload;
+use lt_workloads::Benchmark;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -62,11 +61,13 @@ pub(crate) fn options_digest(opts: &LambdaTuneOptions) -> u64 {
 /// results, so the cached outcome can stand in for a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct FleetKey {
-    /// `Catalog::fingerprint()` — schema and statistics.
-    pub catalog: Fingerprint,
+    /// The benchmark tuned. It names exactly one catalog (schema and
+    /// statistics) and one workload, and no two benchmarks share a
+    /// catalog, so it stands for both.
+    pub benchmark: Benchmark,
     /// Hash of the name of the engine that executes the queries. Backends
-    /// plan alike and report the same catalog fingerprint, but measure
-    /// different query times, so their runs are not interchangeable.
+    /// plan alike but measure different query times, so their runs are
+    /// not interchangeable.
     pub backend: u64,
     /// Target system flavour.
     pub dbms: Dbms,
@@ -74,8 +75,6 @@ pub(crate) struct FleetKey {
     pub memory_bytes: u64,
     /// Hardware core count.
     pub cores: u32,
-    /// `Profile::digest()` of the workload (its shape, not its SQL text).
-    pub profile: u64,
     /// [`options_digest`] — the exact sampling run.
     pub options: u64,
     /// Hash of the initial configuration script applied before tuning
@@ -84,18 +83,15 @@ pub(crate) struct FleetKey {
 }
 
 impl FleetKey {
-    /// Key for tuning `workload` (the request's benchmark, loaded) as
-    /// `request` asks. Everything comes from the request: the catalog
-    /// fingerprint covers schema and statistics, which neither the seed
-    /// nor the indexes of an initial configuration change.
-    pub(crate) fn for_request(request: &TuneRequest, workload: &Workload) -> FleetKey {
+    /// Key for tuning as `request` asks; everything comes from the
+    /// request itself.
+    pub(crate) fn for_request(request: &TuneRequest) -> FleetKey {
         FleetKey {
-            catalog: workload.catalog.fingerprint(),
+            benchmark: request.benchmark,
             backend: hash_one(request.backend.name()),
             dbms: request.dbms,
             memory_bytes: request.hardware.memory_bytes,
             cores: request.hardware.cores,
-            profile: Profile::from_workload(&workload.catalog, workload).digest(),
             options: options_digest(&request.options),
             initial_config: hash_one(request.initial_config.as_deref().unwrap_or("")),
         }
@@ -185,18 +181,17 @@ mod tests {
         TuneRequest::from_json(&parse(body).unwrap()).unwrap()
     }
 
-    fn key(profile: u64, seed: u64) -> FleetKey {
+    fn key(benchmark: Benchmark, seed: u64) -> FleetKey {
         let opts = LambdaTuneOptions {
             seed,
             ..Default::default()
         };
         FleetKey {
-            catalog: Fingerprint(7),
+            benchmark,
             backend: hash_one("sim"),
             dbms: Dbms::Postgres,
             memory_bytes: 1 << 30,
             cores: 8,
-            profile,
             options: options_digest(&opts),
             initial_config: hash_one(""),
         }
@@ -231,37 +226,33 @@ mod tests {
         assert_ne!(options_digest(&opts(3, 42)), options_digest(&opts(2, 42)));
     }
 
-    /// Whole keys, pinned at the values the worker computed when it read
-    /// the catalog fingerprint, hardware and flavour from an opened
-    /// database with the initial configuration applied.
+    /// Whole keys, pinned like the options digest: a key layout that moved
+    /// would make every request miss the entries a daemon already holds.
     #[test]
     fn request_keys_are_pinned() {
         for (body, digest) in [
-            ("{}", 0x19d2_576c_4ac9_92dd),
+            ("{}", 0xc005_ff0a_7ba9_dca9),
             (
                 r#"{"benchmark": "tpch", "seed": 7, "num_configs": 3, "backend": "store",
                     "hardware": "small", "dbms": "mysql",
                     "initial_config": "CREATE INDEX ON lineitem (l_orderkey);"}"#,
-                0x9abc_4864_e74e_e48d,
+                0xc189_8634_b91a_0e71,
             ),
             (
                 r#"{"benchmark": "job", "seed": 9100, "num_configs": 2,
                     "initial_config": "SET work_mem = '64MB'; CREATE INDEX ON title (kind_id);"}"#,
-                0xfe5b_4a06_54a4_878a,
+                0xbbca_dc18_fb6f_7970,
             ),
         ] {
             let req = request(body);
-            let key = FleetKey::for_request(&req, &req.benchmark.load());
+            let key = FleetKey::for_request(&req);
             assert_eq!(hash_one(&key), digest, "{body}: {key:?}");
         }
     }
 
     #[test]
     fn for_request_key_changes_with_each_input() {
-        let key_of = |body: &str| {
-            let req = request(body);
-            FleetKey::for_request(&req, &req.benchmark.load())
-        };
+        let key_of = |body: &str| FleetKey::for_request(&request(body));
         let base = key_of(r#"{"seed": 7, "num_configs": 3}"#);
         assert_eq!(
             base,
@@ -296,33 +287,45 @@ mod tests {
     #[test]
     fn lookup_hits_only_exact_keys() {
         let cache = FleetCache::new(8);
-        cache.insert(key(10, 1), outcome());
-        assert_eq!(cache.lookup(&key(10, 1)).as_deref(), Some(&outcome()));
-        assert!(cache.lookup(&key(10, 2)).is_none(), "seed differs");
-        assert!(cache.lookup(&key(11, 1)).is_none(), "profile differs");
+        cache.insert(key(Benchmark::Job, 1), outcome());
+        assert_eq!(
+            cache.lookup(&key(Benchmark::Job, 1)).as_deref(),
+            Some(&outcome())
+        );
+        assert!(
+            cache.lookup(&key(Benchmark::Job, 2)).is_none(),
+            "seed differs"
+        );
+        assert!(
+            cache.lookup(&key(Benchmark::TpchSf1, 1)).is_none(),
+            "benchmark differs"
+        );
     }
 
     #[test]
     fn disabled_cache_is_inert() {
         let cache = FleetCache::new(8);
         cache.set_enabled(false);
-        cache.insert(key(10, 1), outcome());
+        cache.insert(key(Benchmark::Job, 1), outcome());
         assert!(cache.is_empty());
-        assert!(cache.lookup(&key(10, 1)).is_none());
+        assert!(cache.lookup(&key(Benchmark::Job, 1)).is_none());
         cache.set_enabled(true);
-        cache.insert(key(10, 1), outcome());
+        cache.insert(key(Benchmark::Job, 1), outcome());
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn lru_bound_evicts_cold_sessions() {
         let cache = FleetCache::new(2);
-        cache.insert(key(1, 1), outcome());
-        cache.insert(key(2, 1), outcome());
-        cache.lookup(&key(1, 1)); // refresh
-        cache.insert(key(3, 1), outcome());
-        assert!(cache.lookup(&key(2, 1)).is_none(), "coldest evicted");
-        assert!(cache.lookup(&key(1, 1)).is_some());
+        cache.insert(key(Benchmark::TpchSf1, 1), outcome());
+        cache.insert(key(Benchmark::TpchSf10, 1), outcome());
+        cache.lookup(&key(Benchmark::TpchSf1, 1)); // refresh
+        cache.insert(key(Benchmark::Job, 1), outcome());
+        assert!(
+            cache.lookup(&key(Benchmark::TpchSf10, 1)).is_none(),
+            "coldest evicted"
+        );
+        assert!(cache.lookup(&key(Benchmark::TpchSf1, 1)).is_some());
         assert_eq!(cache.len(), 2);
     }
 }

@@ -22,13 +22,13 @@ use crate::session::{ServingState, SessionHandle, SessionState, TuneRequest};
 use crate::wal::{Outcome, SessionRecord};
 use lambda_tune::LambdaTune;
 use lt_common::{derive_seed, lock, obs, LtError, Secs};
-use lt_dbms::{Configuration, TuningTarget};
+use lt_dbms::Configuration;
 use lt_drift::{
     delta_prompt, retune, DriftMonitor, LabeledProfile, Profile, RetuneOptions, TuneMemory,
     WorkloadDelta,
 };
 use lt_llm::{LlmClient, SimulatedLlm};
-use lt_workloads::{Benchmark, Workload};
+use lt_workloads::{measure_workload, Benchmark, Workload};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -244,16 +244,6 @@ pub(crate) fn shared_workload(benchmark: Benchmark) -> Arc<Workload> {
         .clone()
 }
 
-/// Total workload time under the database's *current* configuration with no
-/// cap (the denominator of the scaled cost reported by `/config`).
-fn measure_default(db: &mut dyn TuningTarget, workload: &Workload) -> Secs {
-    let mut total = Secs::ZERO;
-    for wq in &workload.queries {
-        total += db.execute(&wq.parsed, Secs::INFINITY).time;
-    }
-    total
-}
-
 /// Runs one session end to end on the calling worker thread. Never panics:
 /// the pipeline is wrapped in `catch_unwind`, so the worst a poisoned
 /// request can do is fail its own session.
@@ -371,7 +361,7 @@ fn tune_session(session: &SessionHandle) -> lt_common::Result<bool> {
     };
 
     let fleet = FleetCache::global();
-    let key = FleetKey::for_request(&request, &workload);
+    let key = FleetKey::for_request(&request);
     if let Some(cached) = fleet.lookup(&key) {
         // The cold run's result; the progress counters stay the session's
         // own, since a hit samples and evaluates nothing.
@@ -397,10 +387,7 @@ fn tune_session(session: &SessionHandle) -> lt_common::Result<bool> {
         request.seed,
     );
     if let Some(config) = &initial_config {
-        db.apply_knobs(config);
-        for spec in config.index_specs() {
-            db.create_index(spec);
-        }
+        db.apply(config);
     }
     // Denominator of the scaled cost: the workload under the *default*
     // configuration, on a fresh database with the same seed (the tuning
@@ -411,7 +398,7 @@ fn tune_session(session: &SessionHandle) -> lt_common::Result<bool> {
         request.hardware,
         request.seed,
     );
-    let default_time = measure_default(default_db.as_mut(), &workload);
+    let (default_time, _) = measure_workload(default_db.as_mut(), &workload, Secs::INFINITY);
     session.lock().outcome.default_time = Some(default_time.as_f64());
 
     let tuner =
@@ -464,11 +451,11 @@ pub(crate) fn build_serving(
         request.hardware,
         derive_seed(request.seed, 500),
     );
-    let config = Configuration::parse(best_script, request.dbms, db.catalog());
-    db.apply_knobs(&config);
-    for spec in config.index_specs() {
-        db.create_index(spec);
-    }
+    db.apply(&Configuration::parse(
+        best_script,
+        request.dbms,
+        db.catalog(),
+    ));
     let reference = Profile::from_workload(db.catalog(), workload);
     ServingState {
         monitor: DriftMonitor::with_reference(request.drift.clone(), reference),
@@ -489,10 +476,7 @@ pub(crate) fn adopt_retune(
     workload: &Workload,
 ) {
     let config = Configuration::parse(script, request.dbms, serving.db.catalog());
-    serving.db.apply_knobs(&config);
-    for spec in config.index_specs() {
-        serving.db.create_index(spec);
-    }
+    serving.db.apply(&config);
     serving
         .monitor
         .rebase(Profile::from_workload(serving.db.catalog(), workload));

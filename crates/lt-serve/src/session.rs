@@ -22,7 +22,7 @@ use crate::wal::Outcome;
 use lambda_tune::{LambdaTuneOptions, ProgressEvent, TuneObserver};
 use lt_common::json::Value;
 use lt_common::{json, LtError, Result};
-use lt_dbms::{Dbms, Hardware, SimDb, TuningTarget};
+use lt_dbms::{Dbms, Hardware, TuningTarget};
 use lt_drift::{DriftConfig, DriftEvent, DriftMonitor};
 use lt_workloads::{Benchmark, Workload};
 use std::collections::HashMap;
@@ -49,52 +49,10 @@ pub const RECENT_QUERY_CAP: usize = 256;
 /// daemon's memory stays flat however many sessions it serves.
 pub const RETAINED_SESSIONS: usize = 16;
 
-/// Which engine a session's databases run on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Backend {
-    /// Virtual-time simulator ([`SimDb`]); the determinism-gated default.
-    #[default]
-    Sim,
-    /// lt-store physical storage engine ([`lt_store::StoreDb`]): plans
-    /// identically to the simulator, but query times are measured on a
-    /// scaled-down on-disk replica.
-    Store,
-}
-
-impl Backend {
-    /// Lower-case wire name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Sim => "sim",
-            Backend::Store => "store",
-        }
-    }
-
-    /// Inverse of [`Backend::name`].
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s.to_ascii_lowercase().as_str() {
-            "sim" | "simulator" => Some(Backend::Sim),
-            "store" | "lt-store" => Some(Backend::Store),
-            _ => None,
-        }
-    }
-
-    /// Builds a database of this flavour. Both backends share the optimizer
-    /// and statistics seed, so plans and prompts are identical; only plan
-    /// *execution* differs (modelled vs measured).
-    pub fn open(
-        self,
-        dbms: Dbms,
-        catalog: lt_dbms::Catalog,
-        hardware: Hardware,
-        seed: u64,
-    ) -> Box<dyn TuningTarget + Send> {
-        match self {
-            Backend::Sim => Box::new(SimDb::new(dbms, catalog, hardware, seed)),
-            Backend::Store => Box::new(lt_store::StoreDb::new(dbms, catalog, hardware, seed)),
-        }
-    }
-}
+/// Which engine a session's databases run on (the request's `"backend"`
+/// field): lt-store's [`Backend`](lt_store::Backend), which opens either
+/// the simulator or the storage engine.
+pub use lt_store::Backend;
 
 /// A client's tuning request, parsed and validated at submission time.
 #[derive(Debug, Clone)]

@@ -592,11 +592,10 @@ fn restore_session(handle: &SessionHandle, request: &TuneRequest, rs: &ReplaySes
             ReplayOp::Complete { retunes, outcome } => {
                 s.outcome = outcome.clone();
                 if *retunes == 0 {
-                    let workload = crate::pool::shared_workload(request.benchmark);
-                    let key = FleetKey::for_request(request, &workload);
-                    FleetCache::global().insert(key, outcome.clone());
+                    FleetCache::global().insert(FleetKey::for_request(request), outcome.clone());
                     refilled = true;
                     if let Some(script) = &outcome.best_script {
+                        let workload = crate::pool::shared_workload(request.benchmark);
                         s.serving = Some(crate::pool::build_serving(request, &workload, script));
                     }
                 } else if let (Some(serving), Some(script)) =

@@ -1,13 +1,16 @@
-//! [`StoreDb`]: the storage engine behind the [`TuningTarget`] trait.
+//! [`StoreDb`]: the storage engine behind the [`TuningTarget`] trait, and
+//! [`Backend`], which opens either engine by name.
 //!
 //! # Planning at full scale, executing on a replica
 //!
-//! `StoreDb` *plans* exactly like [`lt_dbms::SimDb`]: same full-scale
-//! catalog, same optimizer, same statistics seed (`derive_seed(seed, 1)`),
-//! and the same planning path ([`PlanCache`]). Prompts and snippet
-//! extraction are therefore identical across backends — only the *cost* of
-//! executing a plan changes, from modelled to measured, which is why the
-//! fleet cache keys on the backend too.
+//! A `StoreDb` wraps a [`SimDb`] of the same catalog and seed, its *planner
+//! twin*, and plans, prices reconfiguration and keeps its knobs, index
+//! catalog, clock and plan cache through it: plans, prompts and snippet
+//! extraction are identical across backends by construction. It overrides
+//! only what runs physically — query execution, index builds and drops,
+//! and the memory knobs' effect on the buffer pool and `work_mem` — so the
+//! *cost* of executing a plan changes, from modelled to measured, which is
+//! why the fleet cache keys on the backend too.
 //!
 //! Physical execution runs against a scaled-down replica (1/500 of the
 //! catalog's row counts) loaded with deterministic synthetic
@@ -41,13 +44,12 @@ use crate::datagen;
 use crate::exec::{proxy_seconds, ExecError, ExecStats, Executor, StoredIndex};
 use crate::heap::{write_value, Heap, Schema};
 use crate::page::PAGE_SIZE;
-use lt_common::{derive_seed, env, obs, secs, IndexId, Secs, TableId, VirtualClock};
-use lt_dbms::db::query_tag;
+use lt_common::{derive_seed, env, obs, secs, IndexId, Secs, TableId};
 use lt_dbms::plan::Plan;
-use lt_dbms::stats::{Estimator, QueryPredicates};
+use lt_dbms::stats::QueryPredicates;
 use lt_dbms::{
-    CacheStats, Catalog, Configuration, Dbms, ExecutionModel, Hardware, IndexCatalog, IndexSpec,
-    KnobSet, PlanCache, TuningTarget,
+    CacheStats, Catalog, Configuration, Dbms, Hardware, IndexCatalog, IndexSpec, KnobSet,
+    QueryOutcome, SimDb, TuningTarget,
 };
 use lt_sql::ast::Query;
 use std::collections::BTreeMap;
@@ -60,21 +62,59 @@ const REPLICA_SCALE: f64 = 0.002;
 
 static INSTANCE_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// Which engine a tuning target runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Backend {
+    /// Virtual-time simulator ([`SimDb`]); the determinism-gated default.
+    #[default]
+    Sim,
+    /// lt-store physical storage engine ([`StoreDb`]): plans identically
+    /// to the simulator, but query times are measured on a scaled-down
+    /// on-disk replica.
+    Store,
+}
+
+impl Backend {
+    /// Lower-case name (`--backend`, the `"backend"` request field).
+    pub fn name(self) -> &'static str {
+        match self {
+            Backend::Sim => "sim",
+            Backend::Store => "store",
+        }
+    }
+
+    /// Inverse of [`Backend::name`], case-insensitive; also accepts
+    /// `simulator` and `lt-store`.
+    pub fn parse(s: &str) -> Option<Backend> {
+        match s.to_ascii_lowercase().as_str() {
+            "sim" | "simulator" => Some(Backend::Sim),
+            "store" | "lt-store" => Some(Backend::Store),
+            _ => None,
+        }
+    }
+
+    /// Opens a fresh database of this flavour.
+    pub fn open(
+        self,
+        dbms: Dbms,
+        catalog: Catalog,
+        hardware: Hardware,
+        seed: u64,
+    ) -> Box<dyn TuningTarget + Send> {
+        match self {
+            Backend::Sim => Box::new(SimDb::new(dbms, catalog, hardware, seed)),
+            Backend::Store => Box::new(StoreDb::new(dbms, catalog, hardware, seed)),
+        }
+    }
+}
+
 /// A persistent storage engine instance serving as a tuning target.
 pub struct StoreDb {
-    dbms: Dbms,
-    catalog: Catalog,
-    hardware: Hardware,
-    knobs: KnobSet,
-    indexes: IndexCatalog,
-    clock: VirtualClock,
-    /// Shared-formula model: reconfigure times and what-if index-build
-    /// estimates come from the same formulas as the simulator's.
-    model: ExecutionModel,
+    /// The planner twin: catalog, knobs, index catalog, clock, plan cache
+    /// and reconfiguration charges (see the module docs).
+    sim: SimDb,
     queries_executed: u64,
     queries_completed: u64,
-    plan_cache: PlanCache,
-    planner_fp: lt_common::Fingerprint,
     // ---- physical state ----
     scale: f64,
     dir: PathBuf,
@@ -88,44 +128,33 @@ pub struct StoreDb {
 
 impl StoreDb {
     /// Creates a store over `catalog`, loading the scaled replica. `seed`
-    /// fixes the misestimation pattern (planner parity with `SimDb`) and
-    /// the synthetic data.
+    /// fixes the misestimation pattern (the planner twin's) and the
+    /// synthetic data.
     ///
     /// Panics on I/O failure: the store is a benchmark fixture, and a disk
     /// that cannot hold the replica is fatal to the run.
     pub fn new(dbms: Dbms, catalog: Catalog, hardware: Hardware, seed: u64) -> Self {
-        let knobs = KnobSet::defaults(dbms);
-        let planner_fp = knobs.planner_fingerprint();
-        let model = ExecutionModel::new(derive_seed(seed, 1), derive_seed(seed, 2));
-        let plan_cache = PlanCache::new(catalog.fingerprint(), model.stats_seed);
+        let sim = SimDb::new(dbms, catalog, hardware, seed);
         let scale = REPLICA_SCALE;
         let (dir, owns_dir) = store_dir();
         std::fs::create_dir_all(&dir).expect("create store dir");
-        let capacity = frames_for(knobs.buffer_pool_bytes(), scale);
+        let capacity = frames_for(sim.knobs().buffer_pool_bytes(), scale);
         let mut pool = BufferPool::open(&dir.join("data.pages"), &dir.join("redo.wal"), capacity)
             .expect("open store files");
         let data_seed = derive_seed(seed, 3);
         let mut heaps = BTreeMap::new();
-        for t in catalog.tables() {
-            let heap = load_table(&mut pool, &catalog, t.id, scale, data_seed);
+        for t in sim.catalog().tables() {
+            let heap = load_table(&mut pool, sim.catalog(), t.id, scale, data_seed);
             heaps.insert(t.id, heap);
         }
         // The data file is the checkpoint now; recovery starts clean.
         pool.checkpoint().expect("checkpoint after load");
         flush_pool_counters(&pool, 0, 0);
-        let work_mem_eff = scaled_mem(knobs.work_mem_bytes(), scale);
+        let work_mem_eff = scaled_mem(sim.knobs().work_mem_bytes(), scale);
         StoreDb {
-            dbms,
-            catalog,
-            hardware,
-            knobs,
-            indexes: IndexCatalog::new(),
-            clock: VirtualClock::new(),
-            model,
+            sim,
             queries_executed: 0,
             queries_completed: 0,
-            plan_cache,
-            planner_fp,
             scale,
             dir,
             owns_dir,
@@ -163,28 +192,17 @@ impl StoreDb {
         &self.dir
     }
 
+    /// Sizes the buffer pool and `work_mem` for the twin's current knobs.
     fn refresh_resources(&mut self) {
-        let capacity = frames_for(self.knobs.buffer_pool_bytes(), self.scale);
+        let knobs = self.sim.knobs();
+        let capacity = frames_for(knobs.buffer_pool_bytes(), self.scale);
         self.pool.resize(capacity).expect("pool resize");
-        self.work_mem_eff = scaled_mem(self.knobs.work_mem_bytes(), self.scale);
-        self.planner_fp = self.knobs.planner_fingerprint();
-    }
-
-    /// Plans under the *current* knobs and indexes; see [`PlanCache::plan`].
-    fn plan_current(&self, query: &Query) -> (Arc<QueryPredicates>, Arc<Plan>) {
-        self.plan_cache.plan(
-            query_tag(query),
-            query,
-            &self.catalog,
-            &self.knobs,
-            self.planner_fp,
-            &self.indexes,
-        )
+        self.work_mem_eff = scaled_mem(knobs.work_mem_bytes(), self.scale);
     }
 
     /// Runs the plan physically; returns (completed, proxy seconds).
     fn run_plan(&mut self, plan: &Plan, preds: &QueryPredicates, timeout: Secs) -> (bool, f64) {
-        let est = Estimator::new(&self.catalog, self.model.stats_seed);
+        let est = self.sim.estimator();
         let budget = if timeout.is_finite() {
             Some(timeout.as_f64() * self.scale)
         } else {
@@ -220,28 +238,28 @@ impl StoreDb {
 
 impl TuningTarget for StoreDb {
     fn dbms(&self) -> Dbms {
-        self.dbms
+        self.sim.dbms()
     }
     fn catalog(&self) -> &Catalog {
-        &self.catalog
+        self.sim.catalog()
     }
     fn hardware(&self) -> Hardware {
-        self.hardware
+        self.sim.hardware()
     }
     fn knobs(&self) -> &KnobSet {
-        &self.knobs
+        self.sim.knobs()
     }
     fn indexes(&self) -> &IndexCatalog {
-        &self.indexes
+        self.sim.indexes()
     }
     fn catalog_fingerprint(&self) -> lt_common::Fingerprint {
-        self.plan_cache.catalog_fingerprint()
+        self.sim.catalog_fingerprint()
     }
     fn now(&self) -> Secs {
-        self.clock.now()
+        self.sim.now()
     }
     fn clock_advance(&self, d: Secs) {
-        self.clock.advance(d);
+        self.sim.clock_advance(d);
     }
     fn queries_executed(&self) -> u64 {
         self.queries_executed
@@ -251,128 +269,91 @@ impl TuningTarget for StoreDb {
     }
 
     fn apply_knobs(&mut self, config: &Configuration) {
-        self.knobs = KnobSet::defaults(self.dbms);
-        let mut changed = 0;
-        for (name, value) in config.knob_changes() {
-            if self.knobs.set(name, value).is_ok() {
-                changed += 1;
-            }
-        }
-        self.clock.advance(self.model.reconfigure_time(changed));
-        obs::counter("dbms.reconfigure", 1);
+        self.sim.apply_knobs(config);
         self.refresh_resources();
     }
 
     fn reset_knobs(&mut self) {
-        self.knobs = KnobSet::defaults(self.dbms);
-        self.clock.advance(self.model.reconfigure_time(0));
-        obs::counter("dbms.reconfigure", 1);
+        self.sim.reset_knobs();
         self.refresh_resources();
     }
 
     fn create_index(&mut self, spec: &IndexSpec) -> (IndexId, Secs) {
-        if let Some(existing) = self.indexes.find(spec.table, &spec.columns) {
-            let t = secs(0.01);
-            self.clock.advance(t);
-            return (existing, t);
-        }
-        let mut span = obs::span_vt("dbms.index_build", self.clock.now());
-        let id = self
-            .indexes
-            .add(spec.table, spec.columns.clone(), spec.name.clone());
-        // Physically build over the leading key column (the executor's
-        // probes and prefix scans only ever drive the leading column).
-        let column = spec.columns[0];
-        let heap = self.heaps.get(&spec.table).expect("heap for indexed table");
-        let before = self.pool.stats;
-        let mut tree = crate::btree::BTree::create(&mut self.pool).expect("btree root");
-        let schema = heap.schema.clone();
-        let col = schema.find(column).expect("indexed column in schema");
-        let mut entries: Vec<(u64, u64)> = Vec::with_capacity(heap.rows as usize);
-        heap.clone()
-            .for_each_row(&mut self.pool, |rid, row| {
-                entries.push((schema.value(row, col), rid));
-            })
-            .expect("index build scan");
-        for (k, rid) in &entries {
-            tree.insert(&mut self.pool, *k, *rid).expect("index insert");
-        }
-        let stats = ExecStats {
-            rows: heap.rows,
-            descents: heap.rows,
-            ..ExecStats::default()
-        };
-        let proxy = proxy_seconds(
-            self.pool.stats.hits - before.hits,
-            self.pool.stats.misses - before.misses,
-            &stats,
-        );
-        self.stored.insert(
-            id,
-            StoredIndex {
-                table: spec.table,
-                column,
-                tree,
-            },
-        );
-        let t = secs((proxy / self.scale).max(0.05));
-        self.clock.advance(t);
-        span.vt_end(self.clock.now());
-        obs::counter("dbms.index_builds", 1);
-        flush_pool_counters(&self.pool, before.hits, before.evictions);
-        (id, t)
+        self.sim.create_index_with(spec, |_, index| {
+            // Physically build over the leading key column (the executor's
+            // probes and prefix scans only ever drive the leading column).
+            let column = index.columns[0];
+            let heap = self
+                .heaps
+                .get(&index.table)
+                .expect("heap for indexed table");
+            let before = self.pool.stats;
+            let mut tree = crate::btree::BTree::create(&mut self.pool).expect("btree root");
+            let schema = heap.schema.clone();
+            let col = schema.find(column).expect("indexed column in schema");
+            let mut entries: Vec<(u64, u64)> = Vec::with_capacity(heap.rows as usize);
+            heap.clone()
+                .for_each_row(&mut self.pool, |rid, row| {
+                    entries.push((schema.value(row, col), rid));
+                })
+                .expect("index build scan");
+            for (k, rid) in &entries {
+                tree.insert(&mut self.pool, *k, *rid).expect("index insert");
+            }
+            let stats = ExecStats {
+                rows: heap.rows,
+                descents: heap.rows,
+                ..ExecStats::default()
+            };
+            let proxy = proxy_seconds(
+                self.pool.stats.hits - before.hits,
+                self.pool.stats.misses - before.misses,
+                &stats,
+            );
+            self.stored.insert(
+                index.id,
+                StoredIndex {
+                    table: index.table,
+                    column,
+                    tree,
+                },
+            );
+            flush_pool_counters(&self.pool, before.hits, before.evictions);
+            secs((proxy / self.scale).max(0.05))
+        })
     }
 
     fn estimate_index_build(&self, spec: &IndexSpec) -> Secs {
-        let probe = lt_dbms::Index {
-            id: IndexId(u32::MAX),
-            table: spec.table,
-            columns: spec.columns.clone(),
-            name: String::new(),
-        };
-        let ctx = lt_dbms::executor::ExecutionContext {
-            catalog: &self.catalog,
-            knobs: &self.knobs,
-            indexes: &self.indexes,
-            hardware: &self.hardware,
-        };
-        self.model.index_build_time(&probe, &ctx)
+        self.sim.estimate_index_build(spec)
     }
 
     fn drop_index(&mut self, id: IndexId) -> bool {
-        let existed = self.indexes.remove(id);
-        if existed {
-            // Tree pages stay allocated in the data file (no free list);
-            // the planner stops referencing them, which is what matters.
-            self.stored.remove(&id);
-            self.clock.advance(self.model.index_drop_time());
-        }
-        existed
+        // Tree pages stay allocated in the data file (no free list); the
+        // planner stops referencing them, which is what matters.
+        self.stored.remove(&id);
+        self.sim.drop_index(id)
     }
 
     fn drop_all_indexes(&mut self) {
-        let n = self.indexes.len() as f64;
-        self.indexes.clear();
         self.stored.clear();
-        self.clock
-            .advance(secs(n * self.model.index_drop_time().as_f64()));
+        self.sim.drop_all_indexes();
     }
 
     fn execute(&mut self, query: &Query, timeout: Secs) -> QueryOutcome {
-        let (preds, plan) = self.plan_current(query);
+        let (preds, plan) = self.sim.plan(query);
         let (completed, proxy) = self.run_plan(&plan, &preds, timeout);
         self.queries_executed += 1;
         obs::counter("dbms.query_exec", 1);
         let time = secs(proxy / self.scale);
         if completed && time <= timeout {
-            self.clock.advance(time);
+            self.sim.clock_advance(time);
             self.queries_completed += 1;
             QueryOutcome {
                 completed: true,
                 time,
             }
         } else {
-            self.clock.advance(timeout.min(time));
+            self.sim.clock_advance(timeout.min(time));
             obs::counter("dbms.query_timeout", 1);
             QueryOutcome {
                 completed: false,
@@ -382,23 +363,15 @@ impl TuningTarget for StoreDb {
     }
 
     fn explain(&self, query: &Query) -> Plan {
-        (*self.plan_current(query).1).clone()
+        self.sim.explain(query)
     }
 
     fn explain_with_indexes(&self, query: &Query, hypothetical: &IndexCatalog) -> Plan {
-        self.plan_cache.plan_what_if(
-            query,
-            &self.catalog,
-            &self.knobs,
-            self.planner_fp,
-            hypothetical,
-        )
+        self.sim.explain_with_indexes(query, hypothetical)
     }
 
     fn explain_with_knobs(&self, query: &Query, knobs: &KnobSet) -> Plan {
-        let knobs_fp = knobs.planner_fingerprint();
-        self.plan_cache
-            .plan_what_if(query, &self.catalog, knobs, knobs_fp, &self.indexes)
+        self.sim.explain_with_knobs(query, knobs)
     }
 
     fn explain_analyze(&mut self, query: &Query) -> (String, QueryOutcome) {
@@ -418,19 +391,19 @@ impl TuningTarget for StoreDb {
     }
 
     fn predicates(&self, query: &Query) -> Arc<QueryPredicates> {
-        self.plan_cache.predicates(&self.catalog, query)
+        self.sim.predicates(query)
     }
 
     fn cache_stats(&self) -> CacheStats {
-        self.plan_cache.stats()
+        self.sim.cache_stats()
     }
 
     fn cache_window_stats(&self) -> CacheStats {
-        self.plan_cache.window_stats()
+        self.sim.cache_window_stats()
     }
 
     fn take_cache_window(&self) -> CacheStats {
-        self.plan_cache.take_window()
+        self.sim.take_cache_window()
     }
 }
 
@@ -446,7 +419,7 @@ impl Drop for StoreDb {
 impl std::fmt::Debug for StoreDb {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StoreDb")
-            .field("dbms", &self.dbms)
+            .field("dbms", &self.sim.dbms())
             .field("scale", &self.scale)
             .field("dir", &self.dir)
             .field("pool", &self.pool.stats)
@@ -519,9 +492,6 @@ fn load_table(
     .expect("heap bulk load")
 }
 
-// Re-exported for the trait methods above.
-use lt_dbms::QueryOutcome;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -562,6 +532,89 @@ mod tests {
                 "plan divergence on {sql}"
             );
         }
+    }
+
+    /// A `StoreDb` keeps its planner state through its twin: the same
+    /// reconfiguration and DDL script leaves it with the simulator's knobs,
+    /// indexes, predicates and what-if plans, charged the same times.
+    #[test]
+    fn reconfiguration_script_matches_the_simulator() {
+        let mut sim = lt_dbms::SimDb::new(Dbms::Postgres, catalog(), Hardware::p3_2xlarge(), 99);
+        let mut st = store();
+        let config = Configuration::parse(
+            "ALTER SYSTEM SET work_mem = '1GB';\n\
+             ALTER SYSTEM SET random_page_cost = '1.1';",
+            Dbms::Postgres,
+            sim.catalog(),
+        );
+        let index = |c: &Catalog, table: &str, column: &str| IndexSpec {
+            table: c.table_by_name(table).unwrap(),
+            columns: vec![c.resolve_column(None, column).unwrap()],
+            name: None,
+        };
+        let orders = index(sim.catalog(), "orders", "o_orderkey");
+        let lineitem = index(sim.catalog(), "lineitem", "l_quantity");
+        // Charges of everything but the physical build, which is measured,
+        // in microseconds: the clocks differ by the build times, so their
+        // differences round differently.
+        let charges = |db: &mut dyn TuningTarget| {
+            let mut out = Vec::new();
+            let mut step = |db: &mut dyn TuningTarget, f: &dyn Fn(&mut dyn TuningTarget)| {
+                let t = db.now();
+                f(db);
+                out.push(((db.now() - t).as_f64() * 1e6).round());
+            };
+            step(db, &|db| db.apply_knobs(&config));
+            step(db, &|db| db.reset_knobs());
+            step(db, &|db| db.apply_knobs(&config));
+            let (id, _) = db.create_index(&orders);
+            step(db, &|db| assert!(db.drop_index(id)));
+            step(db, &|db| assert!(!db.drop_index(id)));
+            db.create_index(&lineitem);
+            db.create_index(&orders);
+            step(db, &|db| db.drop_all_indexes());
+            db.create_index(&lineitem);
+            step(db, &|db| {
+                db.create_index(&lineitem);
+            });
+            out
+        };
+        assert_eq!(charges(&mut sim), charges(&mut st));
+        assert_eq!(sim.knobs(), st.knobs());
+        assert_eq!(sim.indexes(), st.indexes());
+        assert_eq!(st.stored.len(), 1);
+        let mut hypothetical = IndexCatalog::new();
+        hypothetical.add(orders.table, orders.columns.clone(), None);
+        let knobs = KnobSet::defaults(Dbms::Postgres);
+        for sql in [
+            "select count(*) from orders",
+            "select * from lineitem, orders where l_orderkey = o_orderkey",
+            "select * from lineitem where l_quantity = 5",
+        ] {
+            let q = parse_query(sql).unwrap();
+            assert_eq!(sim.predicates(&q), st.predicates(&q), "{sql}");
+            assert_eq!(
+                sim.explain_with_indexes(&q, &hypothetical),
+                st.explain_with_indexes(&q, &hypothetical),
+                "{sql}"
+            );
+            assert_eq!(
+                sim.explain_with_knobs(&q, &knobs),
+                st.explain_with_knobs(&q, &knobs),
+                "{sql}"
+            );
+        }
+    }
+
+    #[test]
+    fn backend_names_round_trip() {
+        for b in [Backend::Sim, Backend::Store] {
+            assert_eq!(Backend::parse(b.name()), Some(b));
+        }
+        assert_eq!(Backend::parse("simulator"), Some(Backend::Sim));
+        assert_eq!(Backend::parse("LT-Store"), Some(Backend::Store));
+        assert_eq!(Backend::parse("postgres"), None);
+        assert_eq!(Backend::default(), Backend::Sim);
     }
 
     #[test]

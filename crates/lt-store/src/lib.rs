@@ -9,13 +9,14 @@
 //! chunked executor whose sorts and hash joins spill to real temp files when
 //! `work_mem` is exceeded ([`exec`]).
 //!
-//! [`StoreDb`] wires those into [`lt_dbms::TuningTarget`]: it *plans* on
-//! the full-scale catalog with the same optimizer and statistics seed as
-//! `SimDb` (identical plan trees, prompts and snippet extraction), then
-//! *executes* each plan against a scaled-down physical replica (1/500 of
-//! the rows), mapping memory knobs proportionally. Because data
-//! size and memory budgets shrink by the same factor, cache-fit and
-//! spill behaviour mirror the full-scale deployment.
+//! [`StoreDb`] wires those into [`lt_dbms::TuningTarget`]: it *plans*
+//! through an embedded `SimDb` of the same full-scale catalog and seed, its
+//! planner twin (so plan trees, prompts and snippet extraction are the
+//! simulator's by construction), then *executes* each plan against a
+//! scaled-down physical replica (1/500 of the rows), mapping memory knobs
+//! proportionally. Because data size and memory budgets shrink by the same
+//! factor, cache-fit and spill behaviour mirror the full-scale deployment.
+//! [`Backend`] opens either engine by name (`sim` | `store`).
 //!
 //! The `store_bench` binary (in `lt-bench`) closes the loop: it sweeps
 //! knobs on lt-store, fits the simulator's [`lt_dbms::CostConstants`], and
@@ -32,6 +33,6 @@ pub mod redo;
 
 pub use btree::BTree;
 pub use buffer::{BpStats, BufferPool};
-pub use db::StoreDb;
+pub use db::{Backend, StoreDb};
 pub use heap::{Heap, Schema};
 pub use redo::RedoLog;

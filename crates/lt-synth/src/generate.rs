@@ -230,8 +230,9 @@ impl Synthesizer {
     pub fn shared(benchmark: Benchmark) -> Arc<Synthesizer> {
         type Shared = Vec<(Benchmark, Arc<Synthesizer>)>;
         static CACHE: OnceLock<Mutex<Shared>> = OnceLock::new();
-        let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
-        let mut held = cache.lock().unwrap();
+        // A build that panicked leaves the list as it was, so a poisoned
+        // lock is safe to take: one failed build must not fail every feed.
+        let mut held = lt_common::lock(CACHE.get_or_init(|| Mutex::new(Vec::new())));
         if let Some((_, s)) = held.iter().find(|(b, _)| *b == benchmark) {
             return Arc::clone(s);
         }

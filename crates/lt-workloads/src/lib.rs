@@ -16,4 +16,4 @@ pub mod tpch;
 pub mod workload;
 
 pub use obfuscate::Obfuscator;
-pub use workload::{Benchmark, Workload, WorkloadQuery};
+pub use workload::{measure_workload, Benchmark, Workload, WorkloadQuery};

@@ -1,7 +1,7 @@
 //! Workload container and benchmark registry.
 
-use lt_common::{LtError, QueryId, Result};
-use lt_dbms::Catalog;
+use lt_common::{LtError, QueryId, Result, Secs};
+use lt_dbms::{Catalog, TuningTarget};
 use lt_sql::ast::Query;
 use std::fmt;
 
@@ -135,6 +135,22 @@ impl Benchmark {
             ))),
         }
     }
+}
+
+/// Executes the full workload under the database's *current* configuration
+/// with a total-time cap. Returns the total time and whether all queries
+/// finished; under `Secs::INFINITY` every query runs to the end.
+pub fn measure_workload(db: &mut dyn TuningTarget, workload: &Workload, cap: Secs) -> (Secs, bool) {
+    let mut total = Secs::ZERO;
+    for wq in &workload.queries {
+        let remaining = (cap - total).clamp_non_negative();
+        let outcome = db.execute(&wq.parsed, remaining);
+        total += outcome.time;
+        if !outcome.completed {
+            return (total, false);
+        }
+    }
+    (total, true)
 }
 
 impl std::str::FromStr for Benchmark {

@@ -8,9 +8,9 @@
 
 use lambda_tune::{LambdaTune, LambdaTuneOptions};
 use lt_common::Secs;
-use lt_dbms::{Dbms, Hardware, SimDb};
+use lt_dbms::{Dbms, Hardware, SimDb, TuningTarget};
 use lt_llm::{LlmClient, SimulatedLlm};
-use lt_workloads::Benchmark;
+use lt_workloads::{measure_workload, Benchmark};
 
 fn main() {
     let workload = Benchmark::Job.load();
@@ -79,11 +79,7 @@ fn main() {
         for s in specs {
             m.create_index(s);
         }
-        let mut total = Secs::ZERO;
-        for wq in &workload.queries {
-            total += m.execute(&wq.parsed, Secs::INFINITY).time;
-        }
-        total
+        measure_workload(&mut m, &workload, Secs::INFINITY).0
     };
     let without = measure(&[]);
     let with = measure(&config.index_specs());

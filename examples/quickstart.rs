@@ -10,9 +10,9 @@
 
 use lambda_tune::{LambdaTune, LambdaTuneOptions};
 use lt_common::Secs;
-use lt_dbms::{Dbms, Hardware, SimDb};
+use lt_dbms::{Dbms, Hardware, SimDb, TuningTarget};
 use lt_llm::{LlmClient, SimulatedLlm};
-use lt_workloads::Benchmark;
+use lt_workloads::{measure_workload, Benchmark};
 
 fn main() {
     // 1. Load a benchmark workload: catalog (schema + statistics) and the
@@ -42,10 +42,7 @@ fn main() {
         Hardware::p3_2xlarge(),
         42,
     );
-    let mut default_time = Secs::ZERO;
-    for q in &workload.queries {
-        default_time += reference.execute(&q.parsed, Secs::INFINITY).time;
-    }
+    let (default_time, _) = measure_workload(&mut reference, &workload, Secs::INFINITY);
     println!("default configuration: workload runs in {default_time:.1}");
 
     // 4. Run λ-Tune: compress the workload into a prompt, sample k = 5

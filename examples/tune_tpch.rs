@@ -9,7 +9,7 @@
 use lambda_tune::{extract_snippets, SelectorOptions};
 use lambda_tune::{Compressor, ConfigSelector, Evaluator, PromptBuilder};
 use lt_common::derive_seed;
-use lt_dbms::{Configuration, Dbms, Hardware, SimDb};
+use lt_dbms::{Configuration, Dbms, Hardware, SimDb, TuningTarget};
 use lt_llm::{LlmClient, SimulatedLlm};
 use lt_workloads::Benchmark;
 

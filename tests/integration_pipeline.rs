@@ -3,17 +3,13 @@
 
 use lambda_tune::{LambdaTune, LambdaTuneOptions};
 use lt_common::Secs;
-use lt_dbms::{Dbms, Hardware, SimDb};
+use lt_dbms::{Dbms, Hardware, SimDb, TuningTarget};
 use lt_llm::{LlmClient, SimulatedLlm};
-use lt_workloads::{Benchmark, Workload};
+use lt_workloads::{measure_workload, Benchmark, Workload};
 
 fn default_workload_time(workload: &Workload, dbms: Dbms, seed: u64) -> Secs {
     let mut db = SimDb::new(dbms, workload.catalog.clone(), Hardware::p3_2xlarge(), seed);
-    let mut total = Secs::ZERO;
-    for q in &workload.queries {
-        total += db.execute(&q.parsed, Secs::INFINITY).time;
-    }
-    total
+    measure_workload(&mut db, workload, Secs::INFINITY).0
 }
 
 fn tune(workload: &Workload, dbms: Dbms, seed: u64) -> lambda_tune::TuneResult {
@@ -128,18 +124,11 @@ fn winning_config_applies_cleanly_to_a_fresh_instance() {
         Hardware::p3_2xlarge(),
         13,
     );
-    fresh.apply_knobs(&best);
-    for spec in best.index_specs() {
-        fresh.create_index(spec);
-    }
+    fresh.apply(&best);
     // Re-measured time is close to the selector's measurement (execution
     // noise aside).
-    let mut total = Secs::ZERO;
-    for q in &workload.queries {
-        let outcome = fresh.execute(&q.parsed, Secs::INFINITY);
-        assert!(outcome.completed);
-        total += outcome.time;
-    }
+    let (total, completed) = measure_workload(&mut fresh, &workload, Secs::INFINITY);
+    assert!(completed);
     let ratio = total / result.best_time;
     assert!(
         (0.7..1.3).contains(&ratio),

@@ -11,7 +11,7 @@ use lambda_tune::{
     expected_index_cost, find_optimal_order, ConfigSelector, Evaluator, SelectorOptions,
 };
 use lt_common::{secs, seeded_rng, Secs};
-use lt_dbms::{Configuration, Dbms, Hardware, SimDb};
+use lt_dbms::{Configuration, Dbms, Hardware, SimDb, TuningTarget};
 use lt_workloads::Benchmark;
 
 fn db_for(benchmark: Benchmark, seed: u64) -> (SimDb, lt_workloads::Workload) {

@@ -5,7 +5,7 @@
 
 use lt_baselines::{common::measure_workload, Db2Advisor, Dexter, Tuner};
 use lt_common::{secs, Secs};
-use lt_dbms::{Configuration, Dbms, Hardware, SimDb};
+use lt_dbms::{Configuration, Dbms, Hardware, SimDb, TuningTarget};
 use lt_workloads::Benchmark;
 
 #[test]
